@@ -23,8 +23,8 @@ Subpackages
     The X-Gene 2 chip model: caches, TLBs, voltage domains, DVFS,
     EDAC, power, SLIMpro.
 ``repro.sram``
-    SRAM soft-error physics: Qcrit, cross-sections, MBUs, parity and
-    SECDED codecs, process variation.
+    SRAM soft-error physics: sigma(V) cross-sections, MBUs, parity and
+    SECDED codecs, arrays, scrubbing.
 ``repro.beam``
     The TRIUMF TNF neutron beam: flux, spectrum, positioning,
     dosimetry, fluence.

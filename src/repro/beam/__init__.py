@@ -19,8 +19,6 @@ from .facility import TnfBeam, BeamState
 from .positioning import BeamPosition, PositioningModel
 from .dosimeter import SramDosimeter, HaloCalibration, calibrate_halo
 from .fluence import FluenceAccount, nyc_equivalent_hours, nyc_equivalent_years
-from .planning import BeamTimePlan, BeamTimePlanner
-from .weibull import WeibullCurve, fit_weibull, rate_in_spectrum
 
 __all__ = [
     "NeutronSpectrum",
@@ -34,9 +32,4 @@ __all__ = [
     "FluenceAccount",
     "nyc_equivalent_hours",
     "nyc_equivalent_years",
-    "BeamTimePlan",
-    "BeamTimePlanner",
-    "WeibullCurve",
-    "fit_weibull",
-    "rate_in_spectrum",
 ]

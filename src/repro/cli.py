@@ -99,6 +99,7 @@ repeatable.
 from __future__ import annotations
 
 import argparse
+import shlex
 import signal
 import sys
 from contextlib import contextmanager
@@ -261,7 +262,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _render_command(args: argparse.Namespace) -> str:
     command = (
-        f"repro-campaign run {args.outdir} --seed {args.seed} "
+        f"repro-campaign run {shlex.quote(args.outdir)} --seed {args.seed} "
         f"--time-scale {args.time_scale} --workers {args.workers}"
     )
     if args.node:
@@ -278,6 +279,8 @@ def _render_command(args: argparse.Namespace) -> str:
         command += f" --timeout {args.timeout}"
     if args.retries != 2:
         command += f" --retries {args.retries}"
+    if args.chaos:
+        command += f" --chaos {shlex.quote(args.chaos)}"
     return command
 
 

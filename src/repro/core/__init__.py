@@ -41,11 +41,6 @@ from .comparison import (
     scale_ser_per_bit,
 )
 from .reporting import CampaignReport
-from .sensitivity import (
-    SensitivityEntry,
-    dominant_parameter,
-    run_sensitivity,
-)
 from .ensemble import (
     HEADLINE_METRICS,
     MetricDistribution,
@@ -95,9 +90,6 @@ __all__ = [
     "masking_factor",
     "scale_ser_per_bit",
     "CampaignReport",
-    "SensitivityEntry",
-    "dominant_parameter",
-    "run_sensitivity",
     "HEADLINE_METRICS",
     "MetricDistribution",
     "coefficient_of_variation",

@@ -8,8 +8,8 @@ which every execution completes correctly -- below it, manufacturing
 variation (not radiation) breaks execution.
 
 The pfail(V) shape is a logistic in voltage -- the CDF of the chip's
-weakest-path failure voltage under process variation (see
-:mod:`repro.sram.variation`).  Parameters are calibrated to Fig. 4:
+weakest-path failure voltage under process variation.  Parameters are
+calibrated to Fig. 4:
 
 * 2.4 GHz: safe Vmin 920 mV, pfail reaching 100 % by 900 mV;
 * 900 MHz: safe Vmin 790 mV, with a shorter (~10 mV) failure ramp.

@@ -8,13 +8,6 @@ control, a SLIMpro-style management processor, an EDAC event log, and a
 calibrated power model.
 """
 
-from .cache_sim import (
-    CacheConfig,
-    CacheHierarchy,
-    HierarchyReport,
-    SetAssociativeCache,
-)
-from .dram import DramConfig, RefreshPowerModel, RetentionModel
 from .regulator import (
     LoadProfile,
     PowerDeliveryNetwork,
@@ -23,7 +16,6 @@ from .regulator import (
 )
 from .geometry import CacheLevel, StructureSpec, xgene2_structures
 from .domains import VoltageDomain, DomainName
-from .thermal import ThermalModel
 from .dvfs import DvfsController, OperatingPoint
 from .edac import EdacLog, EdacRecord, EdacSeverity
 from .power import PowerModel
@@ -31,14 +23,6 @@ from .slimpro import SlimPro
 from .xgene2 import XGene2
 
 __all__ = [
-    "CacheConfig",
-    "CacheHierarchy",
-    "HierarchyReport",
-    "SetAssociativeCache",
-    "DramConfig",
-    "RefreshPowerModel",
-    "RetentionModel",
-    "ThermalModel",
     "LoadProfile",
     "PowerDeliveryNetwork",
     "droop_penalty_mv",

@@ -3,24 +3,19 @@
 This subpackage models everything between an incident neutron and a
 logged bit upset in an on-chip SRAM array:
 
-* :mod:`repro.sram.cell` -- critical-charge (Qcrit) model of a 6T bit
-  cell and its dependence on supply voltage.
 * :mod:`repro.sram.cross_section` -- per-bit SEU cross-section as a
   function of voltage, calibrated against the paper's measured rates.
 * :mod:`repro.sram.mbu` -- multi-bit-upset cluster statistics.
-* :mod:`repro.sram.variation` -- random-dopant-fluctuation process
-  variation, separating persistent low-voltage bit failures from
-  transient radiation-induced upsets.
 * :mod:`repro.sram.protection` -- even parity and SECDED(72,64) Hamming
   codes implemented bit-for-bit.
 * :mod:`repro.sram.array` -- an addressable SRAM array with a sparse
   upset store and scrub/access semantics.
+* :mod:`repro.sram.scrubbing` -- scrub-interval policy analysis for
+  SECDED-protected arrays.
 """
 
-from .cell import BitCell, QcritModel
 from .cross_section import CrossSectionModel
 from .mbu import MbuModel, MbuCluster
-from .variation import ProcessVariationModel
 from .protection import (
     Codec,
     CodecResult,
@@ -32,12 +27,9 @@ from .array import SramArray, ArrayGeometry, UpsetRecord
 from .scrubbing import ScrubbingModel, model_from_level_rate
 
 __all__ = [
-    "BitCell",
-    "QcritModel",
     "CrossSectionModel",
     "MbuModel",
     "MbuCluster",
-    "ProcessVariationModel",
     "Codec",
     "CodecResult",
     "ParityCodec",

@@ -6,10 +6,11 @@ undervolt sensitivity
 
     sigma(V) = sigma_0 * exp(k_v * (V_nom - V) / V_nom)
 
-which is the first-order consequence of the linear Qcrit(V) model in
-:mod:`repro.sram.cell` combined with an exponential deposited-charge
-spectrum.  ``sigma_0`` and ``k_v`` are calibrated so the simulated
-chip-level upset rates match the paper's measurements:
+the usual first-order form for a critical charge that falls
+linearly with supply voltage under an exponential deposited-charge
+spectrum; no Qcrit model is evaluated.  ``sigma_0`` and ``k_v`` are fit
+so the simulated chip-level upset rates match the paper's
+measurements:
 
 * total rate 1.01 upsets/min at 980 mV under the TNF halo flux
   (1.5e6 n/cm^2/s) with the benchmarks' detection efficiency applied,

@@ -15,12 +15,6 @@ campaign output is byte-identical to the pre-scaling code path (pinned
 by the ``tech_anchor`` differential pairing).
 """
 
-from .cache import (
-    CacheScaling,
-    cache_scaling,
-    chip_sram_budget,
-    node_structures,
-)
 from .node import DEFAULT_NODE, TechNode
 from .registry import (
     default_node,
@@ -31,15 +25,11 @@ from .registry import (
 )
 
 __all__ = [
-    "CacheScaling",
     "DEFAULT_NODE",
     "TechNode",
-    "cache_scaling",
-    "chip_sram_budget",
     "default_node",
     "get_node",
     "list_nodes",
-    "node_structures",
     "register_node",
     "unregister_node",
 ]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 
 import pytest
 
@@ -165,6 +166,25 @@ class TestStrict:
     def test_strict_clean_run_exits_zero(self, tmp_path):
         outdir = str(tmp_path / "strict-ok")
         assert main(["run", outdir, "--strict"] + SCALE) == 0
+
+    def test_manifest_command_reflies_the_chaos_run(self, tmp_path):
+        # The manifest's command must re-fly the same run: a dropped
+        # --chaos would record a clean four-session campaign instead.
+        outdir = str(tmp_path / "chaos run")
+        chaos = json.dumps({"units": {"session2": ["fatal"]}})
+        assert main(["run", outdir, "--chaos", chaos] + SCALE) == 0
+        command = json.loads(read_bytes(outdir, "manifest.json"))["command"]
+        argv = shlex.split(command)
+        assert argv[:3] == ["repro-campaign", "run", outdir]
+        assert argv[argv.index("--chaos") + 1] == chaos
+
+        again = str(tmp_path / "again")
+        assert main(["run", again] + argv[3:]) == 0
+        assert read_bytes(again) == read_bytes(outdir)
+        failures = json.loads(read_bytes(again, "failures.json"))
+        assert [
+            u["key"] for u in failures["units"] if u["status"] == "quarantined"
+        ] == ["session2"]
 
 
 class TestSupervisionFlags:

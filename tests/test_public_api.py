@@ -1,27 +1,17 @@
 """Public-API surface checks."""
 
 import importlib
+import pkgutil
 
 import pytest
 
 import repro
 
-SUBPACKAGES = [
-    "repro.core",
-    "repro.soc",
-    "repro.sram",
-    "repro.beam",
-    "repro.workloads",
-    "repro.injection",
-    "repro.harness",
-    "repro.experiments",
-    "repro.io",
-    "repro.resilience",
-    "repro.resilient",
-    "repro.engine",
-    "repro.telemetry",
-    "repro.codecs",
-]
+SUBPACKAGES = sorted(
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
 
 
 class TestImports:
