@@ -141,10 +141,15 @@ def measure_scheduler() -> Dict[str, float]:
 def measure_codecs() -> Dict[str, float]:
     from benchmarks.test_bench_codecs import (
         BATCH,
+        LIMB_WIDTHS,
+        RUNS,
         VECTORIZED,
         codec_batch,
+        python_masks,
+        run_batch,
         scalar_classify,
     )
+    from repro.codecs import run_masks
 
     metrics: Dict[str, float] = {"batch_words": float(BATCH)}
     for name in VECTORIZED:
@@ -156,6 +161,18 @@ def measure_codecs() -> Dict[str, float]:
         metrics[f"{key}_scalar_s"] = scalar_s
         metrics[f"{key}_vectorized_s"] = vectorized_s
         metrics[f"{key}_speedup_x"] = scalar_s / vectorized_s
+    # Mask build: one RUNS batch per limb width, summed over widths.
+    batches = [(run_batch(limbs), limbs) for limbs in LIMB_WIDTHS]
+    kernel_s = _timed(
+        lambda: [run_masks(*runs, limbs) for runs, limbs in batches]
+    )
+    python_s = _timed(
+        lambda: [python_masks(*runs, limbs) for runs, limbs in batches]
+    )
+    metrics["mask_runs"] = float(RUNS * len(LIMB_WIDTHS))
+    metrics["run_masks_s"] = kernel_s
+    metrics["python_masks_s"] = python_s
+    metrics["run_masks_speedup_x"] = python_s / kernel_s
     return metrics
 
 

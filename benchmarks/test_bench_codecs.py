@@ -7,8 +7,14 @@ searchsorted syndrome tables) must actually buy its complexity: these
 benches hold it to >= 3x the scalar reference loop, far below what it
 measures in practice, and check the two paths agree word-for-word on
 the bench batch (the full agreement contract lives in the
-``codec_scalar_vs_vectorized`` differential pairing).  The absolute
-trajectory across PRs is tracked by ``benchmarks/record.py`` into
+``codec_scalar_vs_vectorized`` differential pairing).
+
+Each cell also builds one flip mask per struck word.  The ``run_masks``
+kernel builds a cell's worth of contiguous runs limb by limb for the
+whole batch; the bench holds it to >= 10x the python-int path it replaced
+(one ``((1 << length) - 1) << start`` per run, then ``pack_masks``)
+and checks the two give identical limbs.  The absolute trajectory
+across PRs is tracked by ``benchmarks/record.py`` into
 ``BENCH_codecs.json``.
 """
 
@@ -17,7 +23,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.codecs import STATUS_OF_CODE, get_codec, pack_masks
+from repro.codecs import (
+    STATUS_OF_CODE,
+    get_codec,
+    list_codecs,
+    pack_masks,
+    run_masks,
+)
+from repro.codecs.vector import limbs_for
 
 #: Words per classify batch; enough that per-word cost dominates.
 BATCH = 4096
@@ -27,6 +40,17 @@ MIN_SPEEDUP_X = 3.0
 
 #: Registered codecs with a real (non-fallback) vectorized decoder.
 VECTORIZED = ("parity", "secded", "dected", "sec-daec", "bch-t2")
+
+#: Runs per mask-build batch: about one explorer cell's struck words.
+RUNS = 20_000
+
+#: Floor on the run-kernel-over-python-ints mask-build ratio.
+MIN_MASK_SPEEDUP_X = 10.0
+
+#: Limb widths the registered codecs pack into.
+LIMB_WIDTHS = tuple(
+    sorted({limbs_for(get_codec(name).codec.word_bits) for name in list_codecs()})
+)
 
 
 def codec_batch(name, count=BATCH, seed=2023):
@@ -84,3 +108,41 @@ def test_bench_classify_batch(benchmark, name):
         f"vectorized {vectorized_s * 1e3:.2f} ms, {speedup:.0f}x"
     )
     assert speedup >= MIN_SPEEDUP_X
+
+
+def run_batch(limbs, count=RUNS, seed=2023):
+    """Deterministic MBU-sized (starts, lengths) runs over *limbs* limbs."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 9, size=count)
+    starts = rng.integers(0, 64 * limbs - lengths + 1)
+    return starts, lengths
+
+
+def python_masks(starts, lengths, limbs):
+    """The path the kernel replaced: a python int per run, then packing."""
+    masks = [
+        ((1 << int(length)) - 1) << int(start)
+        for length, start in zip(lengths, starts)
+    ]
+    return pack_masks(masks, limbs)
+
+
+@pytest.mark.parametrize("limbs", LIMB_WIDTHS)
+def test_bench_run_masks(benchmark, limbs):
+    """run_masks beats python ints + pack_masks 10x with identical limbs."""
+    starts, lengths = run_batch(limbs)
+
+    flips = benchmark(lambda: run_masks(starts, lengths, limbs))
+
+    started = time.perf_counter()
+    reference = python_masks(starts, lengths, limbs)
+    python_s = time.perf_counter() - started
+
+    assert np.array_equal(flips, reference)
+    kernel_s = benchmark.stats.stats.mean
+    speedup = python_s / kernel_s
+    print(
+        f"\n{limbs} limb(s): python ints {python_s * 1e3:.1f} ms, "
+        f"run_masks {kernel_s * 1e3:.2f} ms, {speedup:.0f}x"
+    )
+    assert speedup >= MIN_MASK_SPEEDUP_X

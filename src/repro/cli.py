@@ -206,9 +206,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             f"interrupted ({exc}); completed units are journaled under "
             f"{args.outdir} -- resume with:\n"
-            f"  repro-campaign run {args.outdir} --resume "
+            f"  repro-campaign run {shlex.quote(args.outdir)} --resume "
             f"--seed {args.seed} --time-scale {args.time_scale}"
-            + (f" --node {args.node}" if args.node else ""),
+            + (f" --node {shlex.quote(args.node)}" if args.node else ""),
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -505,7 +505,7 @@ def _explore_flags(args: argparse.Namespace) -> str:
     for name in ("codecs", "points", "workloads", "node", "name"):
         value = getattr(args, name)
         if value:
-            flags += f" --{name} {value}"
+            flags += f" --{name} {shlex.quote(value)}"
     for name in ("strikes", "interleave"):
         value = getattr(args, name)
         if value is not None:
@@ -653,7 +653,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(
             f"interrupted ({exc}); completed cells are committed under "
             f"{scheduler_dir} -- resume with:\n"
-            f"  repro-campaign explore {args.outdir} --resume"
+            f"  repro-campaign explore {shlex.quote(args.outdir)} --resume"
             f"{_explore_flags(args)}",
             file=sys.stderr,
         )

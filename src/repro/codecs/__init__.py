@@ -18,8 +18,9 @@ into a design space:
   :mod:`repro.codecs.gf`.
 * :mod:`repro.codecs.vector` -- the batched decode hot path (packed
   uint64 H matrices, whole-batch popcounts, searchsorted syndrome
-  tables), with the scalar codecs retained as the differential
-  reference (``codec_scalar_vs_vectorized`` pairing).
+  tables, the ``run_masks`` flip-mask kernel), with the scalar codecs
+  retained as the differential reference
+  (``codec_scalar_vs_vectorized`` pairing).
 * :mod:`repro.codecs.cost` -- gate-counted area/energy models so
   sweeps can emit FIT-vs-area-vs-energy Pareto fronts.
 * :mod:`repro.codecs.sweep` -- the codec x voltage x workload explorer
@@ -60,6 +61,7 @@ from .vector import (
     VectorizedSecded,
     VectorizedTableCodec,
     pack_masks,
+    run_masks,
 )
 
 __all__ = [
@@ -97,4 +99,5 @@ __all__ = [
     "VectorizedSecded",
     "VectorizedTableCodec",
     "pack_masks",
+    "run_masks",
 ]

@@ -52,7 +52,7 @@ from ..tech import DEFAULT_NODE, get_node
 from ..validate.gates import GateResult, poisson_pair_gate
 from ..workloads.profiles import PROFILES
 from .registry import get_codec, list_codecs
-from .vector import CLEAN, CORRECTED, DUE, SILENT, pack_masks
+from .vector import CLEAN, CORRECTED, DUE, SILENT, run_masks
 
 #: The paper's four operating points as (pmd_mv, soc_mv) pairs.
 DEFAULT_POINTS: Tuple[Tuple[int, int], ...] = (
@@ -318,11 +318,7 @@ def run_cell(cell: SweepCell) -> dict:
         data = rng.integers(
             0, 1 << codec.data_bits, size=events, dtype=np.uint64
         )
-    masks = [
-        ((1 << int(length)) - 1) << int(start)
-        for length, start in zip(lengths, starts)
-    ]
-    flips = pack_masks(masks, vec.limbs)
+    flips = run_masks(starts, lengths, vec.limbs)
     status, _ = vec.classify_batch(data, flips)
     half = events // 2
     counts = np.bincount(status, minlength=4)

@@ -9,6 +9,12 @@ registered codec), the parity-check matrix is packed the same way, and
 a decode is a handful of whole-batch popcount/XOR/searchsorted
 operations instead of a per-word python loop.
 
+Flip masks reach the batch two ways: :func:`run_masks` builds the
+explorer's contiguous MBU runs for a whole batch, limb by limb, and
+:func:`pack_masks` adapts arbitrary python-int patterns.  Either way
+``classify_batch`` refuses a flip outside the codeword, as the scalar
+oracle does.
+
 Statuses travel as small integer codes (:data:`CLEAN` .. :data:`SILENT`)
 so outcome counting is a ``bincount``; :data:`STATUS_OF_CODE` maps back
 to :class:`~repro.sram.protection.DecodeStatus` at the boundary.
@@ -52,6 +58,11 @@ CODE_OF_STATUS = {status: code for code, status in enumerate(STATUS_OF_CODE)}
 
 _U64 = np.uint64
 
+#: ``_ONES_BELOW[k] == (1 << k) - 1`` for ``k`` in ``[0, 64]``, built
+#: from python ints.  Looking masks up covers the full 64-bit limb,
+#: which a numpy shift does not: ``1 << 64`` is not zero on every numpy.
+_ONES_BELOW = np.array([(1 << k) - 1 for k in range(65)], dtype=_U64)
+
 
 def limbs_for(word_bits: int) -> int:
     """Number of uint64 limbs needed for *word_bits*-bit codewords."""
@@ -78,11 +89,59 @@ else:  # pragma: no cover - numpy < 2.0 fallback
 
 
 def pack_masks(masks: Sequence[int], limbs: int) -> np.ndarray:
-    """Pack python-int bit masks into an ``(N, limbs)`` uint64 matrix."""
+    """Pack python-int bit masks into an ``(N, limbs)`` uint64 matrix.
+
+    The adapter for arbitrary bit patterns; contiguous runs take the
+    whole-batch :func:`run_masks` kernel instead.  A negative mask or
+    one with a bit at or above ``64 * limbs`` has no faithful packing
+    and raises :class:`~repro.errors.CodecError` rather than being
+    truncated.
+    """
+    width = 64 * limbs
     packed = np.zeros((len(masks), limbs), dtype=_U64)
     for i, mask in enumerate(masks):
+        mask = int(mask)
+        if mask < 0 or mask >> width:
+            raise CodecError(
+                f"bit mask {mask:#x} does not fit in {limbs} limb(s) "
+                f"of {width} unsigned bits"
+            )
         for limb in range(limbs):
             packed[i, limb] = (mask >> (64 * limb)) & 0xFFFFFFFFFFFFFFFF
+    return packed
+
+
+def run_masks(starts, lengths, limbs: int) -> np.ndarray:
+    """Pack contiguous bit runs into an ``(N, limbs)`` uint64 matrix.
+
+    Row ``i`` flips bits ``[starts[i], starts[i] + lengths[i])`` and
+    equals ``pack_masks([((1 << lengths[i]) - 1) << starts[i]], limbs)``
+    (a zero-length run packs to 0), built limb by limb for the whole
+    batch: each limb clips the run to its own 64 bits and keeps the
+    ones below the clipped end that are not below the clipped start.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if starts.ndim != 1 or starts.shape != lengths.shape:
+        raise CodecError(
+            f"run starts {starts.shape} and lengths {lengths.shape} must "
+            f"be matching 1-D arrays"
+        )
+    ends = starts + lengths
+    width = 64 * limbs
+    if starts.size and (
+        starts.min() < 0 or lengths.min() < 0 or ends.max() > width
+    ):
+        raise CodecError(
+            f"bit runs must have start >= 0, length >= 0 and end <= "
+            f"{width} to fit in {limbs} limb(s)"
+        )
+    packed = np.empty((starts.shape[0], limbs), dtype=_U64)
+    for limb in range(limbs):
+        base = 64 * limb
+        lo = np.clip(starts - base, 0, 64)
+        hi = np.clip(ends - base, 0, 64)
+        packed[:, limb] = _ONES_BELOW[hi] & ~_ONES_BELOW[lo]
     return packed
 
 
@@ -130,6 +189,15 @@ class VectorizedCodec:
                     f"pack_masks() into shape (N, {self.limbs})"
                 )
             flips = flips[:, np.newaxis]
+        # A flip outside the codeword has no physical meaning; the
+        # scalar oracle refuses it, so the batch must not classify it.
+        top_bits = self.scalar.word_bits - 64 * (self.limbs - 1)
+        if top_bits < 64 and np.any(flips[:, -1] >> _U64(top_bits)):
+            raise CodecError(
+                f"flip mask has a bit at or above bit "
+                f"{self.scalar.word_bits}, outside the "
+                f"{self.scalar.word_bits}-bit codeword"
+            )
         codewords = self.encode_batch(data) ^ flips
         status, out = self.decode_batch(codewords)
         silent = (status != DUE) & (out != data)

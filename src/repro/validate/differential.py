@@ -40,10 +40,12 @@ of "this knob does not change the physics":
 ``codec_scalar_vs_vectorized``
     For every codec in the :mod:`repro.codecs` registry: the scalar
     per-word ``classify`` vs the batched numpy path, over a mixed
-    population of error weights including adjacent runs.  Unlike the
-    injector pairing this promise *is* exact -- both paths decode the
-    same corrupted codewords, so status codes and returned data must
-    match word-for-word.
+    population of error weights including adjacent runs.  The batched
+    side builds its adjacent runs with the explorer's ``run_masks``
+    kernel, the scalar side with python ints, so the pairing checks
+    the kernel too.  Unlike the injector pairing this promise *is*
+    exact -- both paths decode the same corrupted codewords, so status
+    codes and returned data must match word-for-word.
 
 :class:`DifferentialRunner` flies each pairing from one seed and diffs
 the results.  Byte pairings that disagree are decoded and diffed
@@ -356,7 +358,13 @@ class DifferentialRunner:
         # from this package, so a module-level import would be cyclic.
         import numpy as np
 
-        from ..codecs import STATUS_OF_CODE, get_codec, list_codecs, pack_masks
+        from ..codecs import (
+            STATUS_OF_CODE,
+            get_codec,
+            list_codecs,
+            pack_masks,
+            run_masks,
+        )
         from ..rng import RngStreams
 
         samples = 256
@@ -374,6 +382,7 @@ class DifferentialRunner:
                     0, 1 << codec.data_bits, size=samples, dtype=np.uint64
                 )
             masks = []
+            starts, lengths = [], []
             for i in range(samples):
                 if i % 2 == 0:
                     # Scattered flips of weight 0..4 (covers clean,
@@ -390,10 +399,15 @@ class DifferentialRunner:
                     length = (i % 4) + 1
                     start = int(rng.integers(0, codec.word_bits - length + 1))
                     mask = ((1 << length) - 1) << start
+                    starts.append(start)
+                    lengths.append(length)
                 masks.append(mask)
-            status_vec, data_vec = vectorized.classify_batch(
-                data, pack_masks(masks, vectorized.limbs)
-            )
+            # The adjacent runs reach the batched side through the
+            # explorer's kernel, so the scalar oracle checks it too.
+            flips = np.empty((samples, vectorized.limbs), dtype=np.uint64)
+            flips[0::2] = pack_masks(masks[0::2], vectorized.limbs)
+            flips[1::2] = run_masks(starts, lengths, vectorized.limbs)
+            status_vec, data_vec = vectorized.classify_batch(data, flips)
             mismatches = 0
             for i in range(samples):
                 scalar = codec.classify(int(data[i]), masks[i])

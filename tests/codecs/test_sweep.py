@@ -1,5 +1,6 @@
 """Explorer sweep: spec validation, planning, cell physics, assembly."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,12 +9,18 @@ import pytest
 from repro.codecs import (
     SweepSpec,
     assemble_pareto,
+    list_codecs,
     plan_sweep,
     run_cell,
     sweep_cells,
 )
 from repro.codecs.sweep import _cluster_flip_lengths
 from repro.errors import CodecError
+
+#: sha256 prefixes of the canonical payload JSON, captured on the
+#: commit *before* flips were built by the run-mask kernel, by
+#: interleave factor.
+PRE_KERNEL_PAYLOAD_DIGESTS = {1: "41da4b53f0c8ff48", 3: "2e084de51657cb12"}
 
 SMALL = dict(
     codecs=("parity", "secded"),
@@ -139,6 +146,28 @@ class TestRunCell:
                 == payload[key]
             )
         assert json.loads(json.dumps(payload)) == payload  # plain JSON
+
+
+class TestPinnedPayloads:
+    """Every registered codec on two nodes at two points: the bytes the
+    explorer committed before its flip masks moved onto the kernel."""
+
+    @pytest.mark.parametrize("interleave", sorted(PRE_KERNEL_PAYLOAD_DIGESTS))
+    def test_payload_digest_pinned(self, interleave):
+        spec = SweepSpec(
+            codecs=tuple(sorted(list_codecs())),
+            points=((980, 950), (790, 950)),
+            workloads=("CG",),
+            strikes=512,
+            seed=11,
+            interleave=interleave,
+            nodes=("xgene2-28", "7nm"),
+        )
+        payloads = [run_cell(cell) for cell in sweep_cells(spec)]
+        assert len(payloads) == 24
+        canonical = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert digest[:16] == PRE_KERNEL_PAYLOAD_DIGESTS[interleave]
 
 
 class TestAssemblePareto:

@@ -8,8 +8,10 @@ differential check here (exact status + data equality), on top of the
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.codecs import get_codec, list_codecs, pack_masks
+from repro.codecs import get_codec, list_codecs, pack_masks, run_masks
 from repro.codecs.vector import (
     CLEAN,
     CODE_OF_STATUS,
@@ -17,11 +19,12 @@ from repro.codecs.vector import (
     DUE,
     SILENT,
     STATUS_OF_CODE,
+    VectorizedParity,
     limbs_for,
     popcount64,
 )
-from repro.errors import CodecError
-from repro.sram.protection import DecodeStatus
+from repro.errors import CodecError, ProtectionError
+from repro.sram.protection import DecodeStatus, ParityCodec
 
 
 class TestHelpers:
@@ -51,6 +54,114 @@ class TestHelpers:
         assert int(packed[0, 0]) == 0x1234
         assert int(packed[0, 1]) == 0xABCD
         assert int(packed[1, 0]) == 0 and int(packed[1, 1]) == 0
+
+    def test_pack_masks_keeps_the_full_width(self):
+        packed = pack_masks([(1 << 128) - 1], 2)
+        assert packed.tolist() == [[0xFFFFFFFFFFFFFFFF] * 2]
+
+    @pytest.mark.parametrize(
+        "mask, limbs",
+        [(1 << 128, 2), (1 << 64, 1), (-1, 2), (-(1 << 70), 2)],
+    )
+    def test_pack_masks_refuses_what_it_cannot_hold(self, mask, limbs):
+        # Truncating 1 << 128 to zero (or packing -1 as all ones) would
+        # hand the batch a different flip than the caller asked for.
+        with pytest.raises(CodecError, match="does not fit"):
+            pack_masks([0, mask], limbs)
+
+
+def python_runs(starts, lengths):
+    """The python-int reference for a batch of contiguous runs."""
+    return [
+        ((1 << int(length)) - 1) << int(start)
+        for start, length in zip(starts, lengths)
+    ]
+
+
+class TestRunMasks:
+    """The explorer's run kernel == pack_masks of the python-int runs."""
+
+    @pytest.mark.parametrize("name", sorted(list_codecs()))
+    def test_random_runs_at_every_registered_width(self, name):
+        word_bits = get_codec(name).codec.word_bits
+        limbs = limbs_for(word_bits)
+        rng = np.random.default_rng(word_bits)
+        lengths = rng.integers(0, word_bits + 1, size=2000)
+        starts = rng.integers(0, word_bits - lengths + 1)
+        assert np.array_equal(
+            run_masks(starts, lengths, limbs),
+            pack_masks(python_runs(starts, lengths), limbs),
+        )
+
+    @pytest.mark.parametrize(
+        "start, length, limbs",
+        [
+            (60, 8, 2),  # straddles bits 63/64
+            (63, 2, 2),  # the smallest straddle
+            (56, 8, 2),  # ends exactly at bit 64
+            (64, 1, 2),  # the first bit of the second limb
+            (127, 1, 2),  # the top bit
+            (0, 1, 1),  # start == 0
+            (0, 64, 1),  # a full single limb
+            (0, 64, 2),  # a full low limb
+            (64, 64, 2),  # a full high limb
+            (0, 128, 2),  # every bit
+            (1, 126, 2),  # every bit but the two ends
+            (0, 0, 1),  # zero-length runs pack to 0 ...
+            (37, 0, 2),
+            (64, 0, 2),
+            (128, 0, 2),  # ... even at the very end
+        ],
+    )
+    def test_edge_runs(self, start, length, limbs):
+        assert (
+            run_masks([start], [length], limbs).tolist()
+            == pack_masks(python_runs([start], [length]), limbs).tolist()
+        )
+
+    def test_empty_batch(self):
+        assert run_masks([], [], 2).shape == (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_pack_masks_property(self, data):
+        limbs = data.draw(st.integers(min_value=1, max_value=3), label="limbs")
+        width = 64 * limbs
+        runs = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=width).flatmap(
+                    lambda start: st.tuples(
+                        st.just(start),
+                        st.integers(min_value=0, max_value=width - start),
+                    )
+                ),
+                max_size=24,
+            ),
+            label="runs",
+        )
+        starts = [start for start, _ in runs]
+        lengths = [length for _, length in runs]
+        assert (
+            run_masks(starts, lengths, limbs).tolist()
+            == pack_masks(python_runs(starts, lengths), limbs).tolist()
+        )
+
+    @pytest.mark.parametrize(
+        "starts, lengths",
+        [
+            ([3, -1], [1, 1]),  # start < 0
+            ([3, 0], [1, -1]),  # length < 0
+            ([3, 120], [1, 9]),  # end past 64 * limbs
+            ([128], [1]),
+        ],
+    )
+    def test_out_of_range_runs_refused(self, starts, lengths):
+        with pytest.raises(CodecError, match="bit runs"):
+            run_masks(starts, lengths, 2)
+
+    def test_mismatched_shapes_refused(self):
+        with pytest.raises(CodecError, match="matching 1-D"):
+            run_masks([1, 2], [1], 2)
 
 
 def _random_cases(entry, count, seed):
@@ -116,3 +227,52 @@ class TestFlipShapes:
             entry.vectorized.classify_batch(
                 data, np.array([1], dtype=np.uint64)
             )
+
+
+class TestOutOfWordFlips:
+    """The batch refuses flips outside the codeword, like the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(list_codecs()))
+    def test_bit_past_the_word_refused(self, name):
+        entry = get_codec(name)
+        word_bits = entry.codec.word_bits
+        with pytest.raises(ProtectionError, match="does not fit"):
+            entry.codec.classify(5, 1 << word_bits)
+        flips = pack_masks([0, 1 << word_bits], entry.vectorized.limbs)
+        with pytest.raises(CodecError, match=f"bit {word_bits}"):
+            entry.vectorized.classify_batch(
+                np.array([5, 5], dtype=np.uint64), flips
+            )
+
+    @pytest.mark.parametrize("name", sorted(list_codecs()))
+    def test_top_bit_of_the_word_classified(self, name):
+        entry = get_codec(name)
+        flip = 1 << (entry.codec.word_bits - 1)
+        status, out = entry.vectorized.classify_batch(
+            np.array([5], dtype=np.uint64),
+            pack_masks([flip], entry.vectorized.limbs),
+        )
+        expected = entry.codec.classify(5, flip)
+        assert STATUS_OF_CODE[int(status[0])] is expected.status
+        assert int(out[0]) == expected.data
+
+    def test_flat_single_limb_flip_past_the_word_refused(self):
+        # Parity's 33-bit word: bit 33 used to come back DUE.
+        entry = get_codec("parity")
+        with pytest.raises(CodecError, match="bit 33"):
+            entry.vectorized.classify_batch(
+                np.array([5], dtype=np.uint64),
+                np.array([1 << 33], dtype=np.uint64),
+            )
+
+    def test_word_filling_its_limbs_needs_no_check(self):
+        # A 64-bit parity word fills its limb, so every flip is inside.
+        vectorized = VectorizedParity(ParityCodec(63))
+        assert vectorized.scalar.word_bits == 64 * vectorized.limbs
+        flip = 0xFFFFFFFFFFFFFFFF
+        status, out = vectorized.classify_batch(
+            np.array([5], dtype=np.uint64), np.array([flip], dtype=np.uint64)
+        )
+        expected = vectorized.scalar.classify(5, flip)
+        assert STATUS_OF_CODE[int(status[0])] is expected.status
+        assert int(out[0]) == expected.data

@@ -2,10 +2,14 @@
 
 import json
 import os
+import shlex
+from contextlib import contextmanager
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import build_parser, main
+from repro.errors import CampaignInterrupted
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,50 @@ class TestParser:
     def test_bad_stats_format_rejected(self, stored_campaign):
         with pytest.raises(SystemExit):
             main(["stats", stored_campaign, "--format", "xml"])
+
+
+@contextmanager
+def _signalled():
+    """Stands in for ``_interruptible``: the signal lands at once."""
+    raise CampaignInterrupted("received signal 15")
+    yield  # pragma: no cover - never reached
+
+
+def _parse_hint(err):
+    """The resume hint printed on interrupt, parsed back by the CLI."""
+    lines = err.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.endswith("resume with:"))
+    argv = shlex.split(lines[at + 1])
+    assert argv[0] == "repro-campaign"
+    return build_parser().parse_args(argv[1:])
+
+
+class TestResumeHints:
+    """A resume hint must survive the shell, spaces and all."""
+
+    def test_run_hint_round_trips(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_interruptible", _signalled)
+        outdir = str(tmp_path / "my runs" / "a")
+        argv = ["run", outdir, "--seed", "9", "--time-scale", "0.01",
+                "--node", "7nm"]
+        assert main(argv) == cli.EXIT_INTERRUPTED
+        hint = _parse_hint(capsys.readouterr().err)
+        assert hint.command == "run" and hint.resume
+        assert hint.outdir == outdir
+        assert (hint.seed, hint.time_scale, hint.node) == (9, 0.01, "7nm")
+
+    def test_explore_hint_round_trips(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_interruptible", _signalled)
+        outdir = str(tmp_path / "my sweeps" / "a")
+        argv = ["explore", outdir, "--name", "night sweep",
+                "--codecs", "parity,secded", "--points", "980:950,790:950",
+                "--workloads", "CG", "--strikes", "64", "--interleave", "2",
+                "--node", "xgene2-28,7nm", "--seed", "7"]
+        assert main(argv) == cli.EXIT_INTERRUPTED
+        hint = _parse_hint(capsys.readouterr().err)
+        assert hint.command == "explore" and hint.resume
+        assert hint.outdir == outdir
+        original = cli._sweep_spec_from_args(build_parser().parse_args(argv))
+        resumed = cli._sweep_spec_from_args(hint)
+        assert resumed.submission_id == original.submission_id
+        assert resumed == original  # the display name survives too

@@ -1,7 +1,10 @@
 """The differential harness: paired configurations that must agree."""
 
+import numpy as np
 import pytest
 
+import repro.codecs
+from repro.codecs import list_codecs
 from repro.errors import ValidationError
 from repro.validate import (
     DifferentialRunner,
@@ -105,3 +108,32 @@ class TestPairings:
     def test_invalid_time_scale_rejected(self):
         with pytest.raises(ValidationError):
             DifferentialRunner(time_scale=0.0)
+
+
+class TestCodecPairing:
+    def test_every_codec_agrees_exactly(self, runner):
+        report = runner.run("codec_scalar_vs_vectorized")
+        assert report.ok, report.render()
+        assert sorted(gate.gate for gate in report.gates) == sorted(
+            f"differential/codec/{name}" for name in list_codecs()
+        )
+
+    def test_a_dropped_run_bit_fails_the_gate(self, runner, monkeypatch):
+        # The adjacent-run rows reach the batched side through the run
+        # kernel; a kernel that loses one bit of one run must be caught.
+        real = repro.codecs.run_masks
+
+        def dropping(starts, lengths, limbs):
+            flips = real(starts, lengths, limbs)
+            limb = int(np.flatnonzero(flips[0])[0])
+            flips[0, limb] &= flips[0, limb] - np.uint64(1)
+            return flips
+
+        monkeypatch.setattr(repro.codecs, "run_masks", dropping)
+        report = runner.run("codec_scalar_vs_vectorized")
+        assert not report.ok
+        gates = {gate.gate: gate for gate in report.gates}
+        for name in ("parity", "secded"):
+            gate = gates[f"differential/codec/{name}"]
+            assert not gate.ok
+            assert int(gate.measured.split()[0]) > 0, gate.measured
