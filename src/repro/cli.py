@@ -117,6 +117,7 @@ from .errors import (
 )
 from .harness.campaign import CampaignResult
 from .injection.events import OutcomeKind
+from .io.atomic import atomic_write_text
 from .io.results_dir import ResultsDirectory
 from .resilient import ChaosSpec, ResilientCampaign, SupervisionPolicy
 from .telemetry import (
@@ -448,9 +449,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     payload = report.to_dict()
     payload["metrics"] = telemetry.metrics.to_dict()
     payload["spans"] = telemetry.tracer.to_list()
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write_text(
+        args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
     print(report.render())
     print(f"  wrote {args.out}")
     return 0 if report.ok else EXIT_GATE_FAILURES
@@ -562,9 +563,7 @@ def _write_fit_cells(outdir: str, document: dict) -> str:
                 )
             )
         )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return path
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -661,10 +660,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     finally:
         executor.close()
     document = assemble_pareto(spec, broker.entries_for(sid))
-    pareto_path = os.path.join(args.outdir, "pareto.json")
-    with open(pareto_path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    pareto_path = atomic_write_text(
+        os.path.join(args.outdir, "pareto.json"),
+        json.dumps(document, indent=2, sort_keys=True) + "\n",
+    )
     csv_path = _write_fit_cells(args.outdir, document)
     print(f"  wrote {pareto_path}")
     print(f"  wrote {csv_path}")
@@ -786,19 +785,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         sid = spec.submission_id
         jobs = jobs_dir(args.root)
         os.makedirs(jobs, exist_ok=True)
-        path = os.path.join(jobs, f"job-{sid}.json")
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w") as handle:
-            handle.write(spec.to_json())
-        os.replace(tmp, path)
+        path = atomic_write_text(
+            os.path.join(jobs, f"job-{sid}.json"), spec.to_json()
+        )
         print(f"submitted {sid} ({path})")
     outdir = results_dir(args.root, sid)
     print(f"  results will land in {outdir}")
     if args.wait is None:
         return 0
     deadline = time.monotonic() + args.wait if args.wait > 0 else None
-    campaign_path = os.path.join(outdir, "campaign.json")
-    while not os.path.exists(campaign_path):
+    # failures.json is the service's last assembly write: once it
+    # exists, every other artifact of the submission is on disk.
+    failures_path = os.path.join(outdir, "failures.json")
+    while not os.path.exists(failures_path):
         if deadline is not None and time.monotonic() > deadline:
             print(
                 f"error: timed out after {args.wait}s waiting for {sid} "
@@ -807,12 +806,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             )
             return 1
         time.sleep(0.2)
-    failures_path = os.path.join(outdir, "failures.json")
     try:
         with open(failures_path) as handle:
             ok = bool(json.load(handle).get("ok", True))
-    except (OSError, json.JSONDecodeError, ValueError):
-        ok = True
+    except (OSError, ValueError, AttributeError) as exc:
+        print(f"error: cannot read {failures_path}: {exc}", file=sys.stderr)
+        return 1
+    campaign_path = os.path.join(outdir, "campaign.json")
     print(f"  {sid} complete ({campaign_path})")
     return 0 if ok else EXIT_STRICT_FAILURES
 
@@ -918,12 +918,10 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
         return 0
     jobs = jobs_dir(args.root)
     os.makedirs(jobs, exist_ok=True)
-    path = os.path.join(jobs, f"cancel-{args.submission}-{os.getpid()}.json")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump({"cancel": args.submission}, handle)
-        handle.write("\n")
-    os.replace(tmp, path)
+    path = atomic_write_text(
+        os.path.join(jobs, f"cancel-{args.submission}-{os.getpid()}.json"),
+        json.dumps({"cancel": args.submission}) + "\n",
+    )
     print(f"cancel requested for {args.submission} ({path})")
     return 0
 
@@ -1324,8 +1322,9 @@ def build_parser() -> argparse.ArgumentParser:
         const=0.0,
         default=None,
         metavar="S",
-        help="block until the submission's campaign.json lands "
-        "(optionally at most S seconds)",
+        help="block until the submission is fully assembled, i.e. its "
+        "failures.json lands (optionally at most S seconds); exits 3 if "
+        "a unit failed, 1 on timeout or an unreadable failures.json",
     )
     submit.set_defaults(func=_cmd_submit)
 

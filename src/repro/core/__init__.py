@@ -24,7 +24,7 @@ from .fit import (
 )
 from .rates import RateEstimate, rate_per_minute
 from .tradeoff import TradeoffPoint, TradeoffSeries, build_tradeoff_series
-from .report import Table, render_table, write_csv
+from .report import Table, render_table
 from .analysis import CampaignAnalysis
 from .energy import (
     CandidatePoint,
@@ -76,7 +76,6 @@ __all__ = [
     "build_tradeoff_series",
     "Table",
     "render_table",
-    "write_csv",
     "CampaignAnalysis",
     "CandidatePoint",
     "EnergyModel",

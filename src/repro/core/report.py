@@ -79,9 +79,3 @@ def render_table(table: Table) -> str:
     for row in formatted:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def write_csv(table: Table, path: str) -> None:
-    """Persist a table as a CSV file."""
-    with open(path, "w", newline="") as handle:
-        handle.write(table.to_csv())

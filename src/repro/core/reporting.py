@@ -14,6 +14,7 @@ from typing import List
 from ..errors import AnalysisError
 from ..harness.campaign import CampaignResult
 from ..injection.events import OutcomeKind
+from ..io.atomic import atomic_write_text
 from .analysis import CampaignAnalysis
 from .comparison import REFERENCE_STUDIES, is_consistent_with_reference
 from .report import Table
@@ -157,7 +158,5 @@ class CampaignReport:
         return "\n\n".join(sections) + "\n"
 
     def write(self, path: str) -> str:
-        """Write the report to *path*; returns the path."""
-        with open(path, "w") as handle:
-            handle.write(self.render())
-        return path
+        """Write the report to *path* atomically; returns the path."""
+        return atomic_write_text(path, self.render())

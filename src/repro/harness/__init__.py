@@ -12,15 +12,6 @@ Reproduces the test flow of Sections 3.5-3.6 and 4.1:
 * :mod:`repro.harness.campaign` -- the four-session campaign of
   Table 2.
 * :mod:`repro.harness.logbook` -- structured session timeline logging.
-* :mod:`repro.harness.watchdog` -- Section 3.6 response-timeout
-  calibration.  This is the harness's *single* timeout mechanism: the
-  supervision layer (:mod:`repro.resilient`) consumes a calibrated
-  :class:`~repro.harness.watchdog.WatchdogPolicy` directly via
-  :meth:`SupervisionPolicy.from_watchdog
-  <repro.resilient.SupervisionPolicy.from_watchdog>` /
-  :meth:`SupervisionPolicy.calibrated
-  <repro.resilient.SupervisionPolicy.calibrated>` -- there is no
-  second timer stack for supervising work units.
 """
 
 from .vmin import PfailModel, VminCharacterizer, VminResult, PFAIL_MODELS
@@ -40,7 +31,6 @@ from .viruses import (
     characterize_with_viruses,
     make_viruses,
 )
-from .watchdog import WatchdogPolicy, calibrate_watchdog, compare_policies
 
 __all__ = [
     "PfailModel",
@@ -65,7 +55,4 @@ __all__ = [
     "battery_safe_vmin_mv",
     "characterize_with_viruses",
     "make_viruses",
-    "WatchdogPolicy",
-    "calibrate_watchdog",
-    "compare_policies",
 ]

@@ -2,11 +2,20 @@
 
 A beam campaign's artifacts are written while the harness itself is the
 thing under test -- workers die, runs get SIGTERMed, disks fill.  Every
-artifact in :mod:`repro.io` therefore goes to disk through
+whole-file write in :mod:`repro` therefore goes to disk through
 :func:`atomic_write_text`: the bytes land in a temporary file in the
 *same directory*, are flushed and fsynced, and only then renamed over
 the destination with :func:`os.replace`.  A reader can observe the old
-file or the new file, never a torn half-write.
+file or the new file, never a torn half-write.  The temporary file is
+created like a plain :func:`open` would create it, so the umask sets
+the artifact's mode.
+
+The only writers that do not come here each have a reason: the two
+append-only journals (:mod:`repro.resilient.journal`) append rather
+than replace, the scheduler store's raw primitives
+(:mod:`repro.scheduler.store`) are what its chaos wrapper intercepts,
+and a fencing epoch (:mod:`repro.scheduler.fencing`) must fail if its
+file exists, so it is claimed with an exclusive :func:`os.link`.
 
 :func:`read_json_or_default` is the matching salvage reader: a missing
 file yields the caller's default, and a corrupt one raises a clear
@@ -19,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Optional
 
 from ..errors import ReproIOError
@@ -44,6 +52,22 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
+def _create_temp(path: str) -> "tuple[int, str]":
+    """Create a fresh ``<path>.<random>.tmp`` next to *path*.
+
+    Mode 0o666 before the umask, exactly like :func:`open` (unlike
+    :func:`tempfile.mkstemp`, which always creates 0600).  The
+    ``.tmp`` suffix is what the job scanner and service recovery skip.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    while True:
+        tmp_path = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            return os.open(tmp_path, flags, 0o666), tmp_path
+        except FileExistsError:
+            continue  # a random-name collision: draw another
+
+
 def atomic_write_text(path: str, text: str, fsync: bool = True) -> str:
     """Write *text* to *path* via temp-file + :func:`os.replace`.
 
@@ -62,9 +86,7 @@ def atomic_write_text(path: str, text: str, fsync: bool = True) -> str:
         not just process death.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
+    fd, tmp_path = _create_temp(path)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -9,7 +9,9 @@ One line per record, written in completion (== submission) order:
     {"kind": "unit", "key": "session1", "attempts": 1, "sram_bits": ...,
      "metrics": {...} | null, "session": {...}}
 
-Design rules, in decreasing order of importance:
+The first four design rules below belong to :class:`AppendLog`, the
+one append-only JSONL file under both this checkpoint journal and the
+broker's :class:`EventJournal`.  In decreasing order of importance:
 
 * **Append-only.**  A unit line is written exactly once, after the unit
   completed; nothing is ever rewritten in place, so a crash can only
@@ -118,6 +120,20 @@ class JournalEntry:
 
 
 @dataclass(frozen=True)
+class SalvagedLog:
+    """What :meth:`AppendLog.read` read back.
+
+    ``valid_end`` is the byte offset just past the last valid line --
+    the offset a reopen truncates to so a torn tail is physically
+    removed before the next append.
+    """
+
+    records: List[dict]
+    salvaged: int
+    valid_end: int
+
+
+@dataclass(frozen=True)
 class LoadedJournal:
     """What :meth:`CampaignJournal.load` read back.
 
@@ -160,11 +176,15 @@ def read_journal_header(path: str) -> JournalHeader:
     return JournalHeader.from_dict(record)
 
 
-class CampaignJournal:
-    """Writer/reader of one results directory's checkpoint journal.
+class AppendLog:
+    """One append-only JSONL file: the durability rules of every journal.
 
-    Use :meth:`create` for a fresh run (truncates any stale journal) or
-    :meth:`load` + :meth:`reopen` for a resumed one.
+    Opening either creates the file afresh (truncating a stale one) or
+    appends after trimming a torn tail; each line is written whole,
+    flushed, and fsynced per the fsync policy; :meth:`read` salvages a
+    torn final line and refuses a torn middle one.  The journals built
+    on it -- :class:`CampaignJournal` and :class:`EventJournal` -- add
+    only their record vocabulary.
     """
 
     def __init__(self, path: str, fsync: str = "unit") -> None:
@@ -178,33 +198,25 @@ class CampaignJournal:
 
     # -- writing -----------------------------------------------------------------
 
-    @classmethod
-    def create(
-        cls, path: str, header: JournalHeader, fsync: str = "unit"
-    ) -> "CampaignJournal":
-        """Start a fresh journal (truncating any previous one)."""
-        journal = cls(path, fsync=fsync)
-        journal._handle = open(path, "w")
-        journal._write_line(header.to_dict())
-        return journal
-
-    def reopen(self, valid_end: Optional[int] = None) -> "CampaignJournal":
-        """Open an existing journal for appending (resume path).
+    def _open(self, truncate: bool, valid_end: Optional[int] = None) -> None:
+        """Open for writing: afresh, or appending after the last valid line.
 
         *valid_end* is the byte offset past the last valid line, as
-        reported by :meth:`load`; the file is truncated to it before
+        reported by :meth:`read`; the file is truncated to it before
         appending so a torn tail is physically removed.  Appending
         straight after the fragment would glue the next record onto it
         (no newline between them), leaving a corrupt non-final line
-        that a second resume refuses to salvage.  Without *valid_end*
-        the tail is trimmed back to the last newline, which removes any
-        unterminated fragment (every complete record ends in one).
+        that the next reader refuses to salvage.  Without *valid_end*
+        the final line is kept only if it parses, the same rule
+        :meth:`read` applies to it.
         """
         if self._handle is not None:
             raise SupervisionError("journal already open")
+        if truncate:
+            self._handle = open(self.path, "w")
+            return
         self._truncate_torn_tail(valid_end)
         self._handle = open(self.path, "a")
-        return self
 
     def _truncate_torn_tail(self, valid_end: Optional[int]) -> None:
         try:
@@ -214,13 +226,15 @@ class CampaignJournal:
                     handle.seek(0)
                     raw = handle.read()
                     valid_end = raw.rfind(b"\n") + 1
+                    if valid_end < size and _parses(raw[valid_end:]):
+                        valid_end = size
                 if 0 <= valid_end < size:
                     handle.truncate(valid_end)
                 # A crash can tear off exactly the terminating newline:
-                # the last line still parses, so load() keeps it (and
-                # reports valid_end == file size), but appending right
-                # after it would glue the next record onto the
-                # unterminated line, corrupting both.  Terminate it.
+                # the last line still parses, so it is kept, but
+                # appending right after it would glue the next record
+                # onto the unterminated line, corrupting both.
+                # Terminate it.
                 if valid_end > 0:
                     handle.seek(valid_end - 1)
                     if handle.read(1) != b"\n":
@@ -232,14 +246,11 @@ class CampaignJournal:
         except FileNotFoundError:
             pass  # nothing to trim; append will create the file
 
-    def append_unit(self, entry: JournalEntry) -> None:
-        """Checkpoint one completed unit (flush + fsync per policy)."""
+    def _write_line(self, line: str) -> None:
+        """Append one record line (flush + fsync per policy)."""
         if self._handle is None:
             raise SupervisionError("journal is not open for writing")
-        self._write_line(entry.to_dict())
-
-    def _write_line(self, record: dict) -> None:
-        self._handle.write(json.dumps(record) + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
         if self.fsync == "unit":
             os.fsync(self._handle.fileno())
@@ -250,7 +261,7 @@ class CampaignJournal:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "CampaignJournal":
+    def __enter__(self) -> "AppendLog":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -258,24 +269,20 @@ class CampaignJournal:
 
     # -- reading -----------------------------------------------------------------
 
-    @classmethod
-    def load(cls, path: str) -> LoadedJournal:
-        """Read a journal back as a :class:`LoadedJournal`.
+    @staticmethod
+    def read(path: str) -> SalvagedLog:
+        """Read a log back, dropping (and counting) a torn final line.
 
-        A torn final line (the signature of a crash mid-append) is
-        dropped and counted; torn lines anywhere else raise
-        :class:`~repro.errors.ReproIOError`.  ``valid_end`` marks the
-        byte offset past the last valid line, for
-        :meth:`reopen` to truncate the salvaged tail away.
+        A final line that does not parse is the signature of a crash
+        mid-append and is salvaged; a non-final one means someone
+        edited the file and :class:`~repro.errors.ReproIOError` is
+        raised.  A missing file raises :class:`FileNotFoundError`.
         """
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
-            raise ReproIOError(
-                f"no journal at {path!r}; nothing to resume "
-                f"(run without --resume first)"
-            ) from None
+            raise
         except OSError as exc:
             raise ReproIOError(f"cannot read journal {path!r}: {exc}") from exc
 
@@ -301,14 +308,74 @@ class CampaignJournal:
                 valid_end = pos
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 if index == len(lines) - 1:
-                    # Crash tore the tail append; the units before it
-                    # are intact, the torn one simply reruns.
+                    # Crash tore the tail append; the records before it
+                    # are intact, the torn one is simply lost.
                     salvaged += 1
                     continue
                 raise ReproIOError(
                     f"journal {path!r} is corrupt at line {index + 1} "
                     f"(not a torn tail -- refusing to salvage): {exc}"
                 ) from exc
+        return SalvagedLog(
+            records=records, salvaged=salvaged, valid_end=valid_end
+        )
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return False
+    return True
+
+
+class CampaignJournal(AppendLog):
+    """Writer/reader of one results directory's checkpoint journal.
+
+    Use :meth:`create` for a fresh run (truncates any stale journal) or
+    :meth:`load` + :meth:`reopen` for a resumed one.  Lines are
+    insertion-order ``json.dumps`` of the header and unit records.
+    """
+
+    @classmethod
+    def create(
+        cls, path: str, header: JournalHeader, fsync: str = "unit"
+    ) -> "CampaignJournal":
+        """Start a fresh journal (truncating any previous one)."""
+        journal = cls(path, fsync=fsync)
+        journal._open(truncate=True)
+        journal._write_line(json.dumps(header.to_dict()))
+        return journal
+
+    def reopen(self, valid_end: Optional[int] = None) -> "CampaignJournal":
+        """Open an existing journal for appending (resume path).
+
+        *valid_end* is :meth:`load`'s ``valid_end``; the torn tail past
+        it is truncated away before appending (see :class:`AppendLog`).
+        """
+        self._open(truncate=False, valid_end=valid_end)
+        return self
+
+    def append_unit(self, entry: JournalEntry) -> None:
+        """Checkpoint one completed unit (flush + fsync per policy)."""
+        self._write_line(json.dumps(entry.to_dict()))
+
+    @classmethod
+    def load(cls, path: str) -> LoadedJournal:
+        """Read a journal back as a :class:`LoadedJournal`.
+
+        Salvage follows :meth:`AppendLog.read`; ``valid_end`` marks the
+        byte offset past the last valid line, for :meth:`reopen` to
+        truncate the salvaged tail away.
+        """
+        try:
+            log = cls.read(path)
+        except FileNotFoundError:
+            raise ReproIOError(
+                f"no journal at {path!r}; nothing to resume "
+                f"(run without --resume first)"
+            ) from None
+        records = log.records
         if not records or records[0].get("kind") != "header":
             raise ReproIOError(
                 f"journal {path!r} has no header line; it is not a "
@@ -328,83 +395,35 @@ class CampaignJournal:
         return LoadedJournal(
             header=header,
             entries=entries,
-            salvaged=salvaged,
-            valid_end=valid_end,
+            salvaged=log.salvaged,
+            valid_end=log.valid_end,
         )
 
 
-class EventJournal:
+class EventJournal(AppendLog):
     """Append-only JSONL of scheduler events (submit/lease/complete).
 
-    The campaign broker persists its scheduling decisions with the same
-    durability rules as :class:`CampaignJournal` -- append-only lines,
-    flush (and optionally fsync) per event, torn final lines dropped on
-    read -- but the payload is a free-form event stream rather than the
-    closed header/unit vocabulary.  Each broker process owns exactly
-    one journal file (named by its broker id), so two brokers sharing a
-    results directory never interleave writes within one file; reading
-    the directory's full history means reading every broker's journal.
+    The campaign broker persists its scheduling decisions through the
+    same :class:`AppendLog` as the checkpoint journal, but the payload
+    is a free-form event stream (one ``sort_keys`` JSON object per
+    line) rather than the closed header/unit vocabulary.  Opening an
+    existing journal -- a restarted broker reusing its id -- trims a
+    torn tail before appending, and *header* is written only when the
+    file is new.  Each broker process owns exactly one journal file
+    (named by its broker id), so two brokers sharing a results
+    directory never interleave writes within one file; reading the
+    directory's full history means reading every broker's journal.
     """
 
     def __init__(
         self, path: str, header: Optional[dict] = None, fsync: str = "unit"
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise SupervisionError(
-                f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
-            )
-        self.path = path
-        self.fsync = fsync
+        super().__init__(path, fsync=fsync)
         existed = os.path.exists(path)
-        self._handle = open(path, "a")
+        self._open(truncate=False)
         if not existed and header is not None:
             self.append(dict(header, kind="header"))
 
     def append(self, event: dict) -> None:
         """Append one event line (flush + fsync per policy)."""
-        if self._handle is None:
-            raise SupervisionError("event journal is closed")
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-        self._handle.flush()
-        if self.fsync == "unit":
-            os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        """Close the underlying file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "EventJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    @staticmethod
-    def read_events(path: str) -> List[dict]:
-        """Read one event journal back, dropping a torn final line."""
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise ReproIOError(
-                f"cannot read event journal {path!r}: {exc}"
-            ) from exc
-        events: List[dict] = []
-        lines = raw.splitlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if index == len(lines) - 1:
-                    continue  # torn tail: the crash interrupted this append
-                raise ReproIOError(
-                    f"event journal {path!r} is corrupt at line "
-                    f"{index + 1} (not a torn tail): {exc}"
-                ) from exc
-        return events
+        self._write_line(json.dumps(event, sort_keys=True))

@@ -14,19 +14,18 @@ an irradiated benchmark run:
   error: rerunning would reproduce the same wrong behavior, so the unit
   is quarantined immediately instead of burning retries.
 
-:class:`SupervisionPolicy` bundles the knobs; the per-unit timeout can
-be calibrated from observed run durations through the existing watchdog
-machinery (:meth:`SupervisionPolicy.from_watchdog`), which makes the
-Section 3.6 response-timeout model the single timeout source of the
-harness -- there is no second timer stack.
+:class:`SupervisionPolicy` bundles the knobs.  Its per-unit timeout is
+set directly (``run --timeout`` / ``serve --timeout``), and its retry
+backoff is the shared :func:`repro.scheduler.retry.backoff_delay`, the
+same capped doubling the store's I/O retries use.
 """
 
 from __future__ import annotations
 
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import (
     AnalysisError,
@@ -35,7 +34,7 @@ from ..errors import (
     ReproIOError,
     SupervisionError,
 )
-from ..harness.watchdog import WatchdogPolicy, calibrate_watchdog
+from ..scheduler.retry import backoff_delay
 
 
 class FailureClass(Enum):
@@ -116,11 +115,12 @@ class SupervisionPolicy:
     max_retries:
         Retries after the first attempt before a transient unit is
         quarantined.
-    backoff_s / backoff_factor / max_backoff_s:
+    backoff_s / max_backoff_s:
         Deterministic exponential backoff between retries:
-        ``backoff_s * backoff_factor**(attempt-1)``, capped.  No jitter
-        -- two runs of the same campaign wait the same schedule, and no
-        RNG stream is ever touched.
+        ``backoff_s * 2**(attempt-1)``, capped (see
+        :func:`~repro.scheduler.retry.backoff_delay`).  No jitter -- two
+        runs of the same campaign wait the same schedule, and no RNG
+        stream is ever touched.
     max_pool_breakages:
         Worker-pool deaths tolerated before the supervisor degrades
         from parallel to serial execution for the rest of the batch.
@@ -129,7 +129,6 @@ class SupervisionPolicy:
     timeout_s: Optional[float] = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     max_backoff_s: float = 2.0
     max_pool_breakages: int = 2
 
@@ -140,8 +139,6 @@ class SupervisionPolicy:
             raise SupervisionError("max_retries must be nonnegative")
         if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise SupervisionError("backoff must be nonnegative")
-        if self.backoff_factor < 1.0:
-            raise SupervisionError("backoff factor must be >= 1")
         if self.max_pool_breakages < 0:
             raise SupervisionError("max_pool_breakages must be nonnegative")
 
@@ -149,10 +146,7 @@ class SupervisionPolicy:
         """Seconds to wait before retry *attempt* (1-based), capped."""
         if attempt < 1:
             raise SupervisionError("attempt is 1-based")
-        return min(
-            self.backoff_s * self.backoff_factor ** (attempt - 1),
-            self.max_backoff_s,
-        )
+        return backoff_delay(self.backoff_s, self.max_backoff_s, attempt)
 
     def backoff_schedule(self) -> "list[float]":
         """The full deterministic retry schedule, for logs and docs."""
@@ -160,44 +154,3 @@ class SupervisionPolicy:
             self.backoff_delay(attempt)
             for attempt in range(1, self.max_retries + 1)
         ]
-
-    # -- watchdog bridge ---------------------------------------------------------
-
-    @classmethod
-    def from_watchdog(
-        cls, watchdog: WatchdogPolicy, **overrides: object
-    ) -> "SupervisionPolicy":
-        """Build a policy whose timeout comes from a calibrated watchdog.
-
-        This is the single timeout mechanism of the harness: the
-        Section 3.6 response-timeout calibration
-        (:func:`repro.harness.watchdog.calibrate_watchdog`) produces a
-        :class:`~repro.harness.watchdog.WatchdogPolicy`, and the
-        supervision layer consumes its ``timeout_s`` directly.
-        """
-        return cls(timeout_s=watchdog.timeout_s).replace_(**overrides)
-
-    @classmethod
-    def calibrated(
-        cls,
-        run_durations_s: Sequence[float],
-        false_alarm_target: float = 1e-4,
-        margin_s: float = 5.0,
-        **overrides: object,
-    ) -> "SupervisionPolicy":
-        """Calibrate the timeout from observed fault-free unit durations.
-
-        Convenience composition of
-        :func:`~repro.harness.watchdog.calibrate_watchdog` and
-        :meth:`from_watchdog`.
-        """
-        watchdog = calibrate_watchdog(
-            run_durations_s,
-            false_alarm_target=false_alarm_target,
-            margin_s=margin_s,
-        )
-        return cls.from_watchdog(watchdog, **overrides)
-
-    def replace_(self, **overrides: object) -> "SupervisionPolicy":
-        """A copy with the given fields overridden."""
-        return replace(self, **overrides)  # type: ignore[arg-type]

@@ -41,6 +41,19 @@ TRANSIENT_ERRNOS = frozenset(
 T = TypeVar("T")
 
 
+def backoff_delay(base_s: float, cap_s: float, attempt: int) -> float:
+    """Seconds to wait before retry *attempt* (1-based).
+
+    ``min(base_s * 2**(attempt-1), cap_s)``: exponential, capped and
+    jitter-free, so a replayed fault schedule waits the same schedule.
+    The one backoff of the harness -- both the store's I/O retries
+    (:class:`RetryPolicy`) and the unit supervisor
+    (:class:`~repro.resilient.SupervisionPolicy`) call it, each with its
+    own base and cap.
+    """
+    return min(base_s * 2.0 ** (attempt - 1), cap_s)
+
+
 def is_transient(exc: BaseException) -> bool:
     """True when *exc* is an OSError in the transient-errno set."""
     return isinstance(exc, OSError) and exc.errno in TRANSIENT_ERRNOS
@@ -56,9 +69,7 @@ class RetryPolicy:
         Total tries (first attempt included).  Exhausting them raises
         :class:`~repro.errors.StoreUnavailable`.
     base_delay_s / max_delay_s:
-        Backoff before retry *k* (1-based) is
-        ``min(base_delay_s * 2**(k-1), max_delay_s)`` -- exponential,
-        capped, and jitter-free so chaos runs replay identically.
+        Base and cap of the :func:`backoff_delay` before each retry.
     """
 
     attempts: int = 5
@@ -73,8 +84,8 @@ class RetryPolicy:
 
     def delays(self) -> Iterator[float]:
         """The deterministic backoff sequence (``attempts - 1`` long)."""
-        for k in range(self.attempts - 1):
-            yield min(self.base_delay_s * (2.0**k), self.max_delay_s)
+        for attempt in range(1, self.attempts):
+            yield backoff_delay(self.base_delay_s, self.max_delay_s, attempt)
 
     def run(
         self,

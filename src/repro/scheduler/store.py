@@ -49,6 +49,7 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import StaleFencingToken
+from ..io.atomic import atomic_write_text
 from ..telemetry import NULL_TELEMETRY
 from .fencing import FencingRegistry
 from .retry import RetryPolicy
@@ -407,12 +408,9 @@ class DirectoryStore:
             "quarantined_unix": self.clock(),
         }
         reason_path = f"{dest[: -len('.json')]}.reason.json"
-        tmp = f"{reason_path}.tmp-{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(reason_record, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, reason_path)
+        atomic_write_text(
+            reason_path, json.dumps(reason_record, sort_keys=True)
+        )
         self.counters["quarantined"] += 1
         self.telemetry.count("scheduler.store.quarantined")
         return moved

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Set
 from .. import __version__
 from ..engine import CAMPAIGN_WARMUP
 from ..errors import ReproError, SchedulerBusy, SchedulerError
-from ..io.atomic import atomic_write_json
+from ..io.atomic import atomic_write_json, atomic_write_text
 from ..io.json_store import campaign_dict_from_entries, campaign_from_dict
 from ..io.results_dir import ResultsDirectory
 from ..resilient import EventJournal, SupervisedExecutor, SupervisionPolicy
@@ -160,10 +160,7 @@ class CampaignService:
             layout.accepted_dir(self.root), f"{sid}.json"
         )
         if not os.path.exists(accepted):
-            tmp = f"{accepted}.tmp-{os.getpid()}"
-            with open(tmp, "w") as handle:
-                handle.write(spec.to_json())
-            os.replace(tmp, accepted)
+            atomic_write_text(accepted, spec.to_json())
         self._last_activity = time.monotonic()
         return submission
 
@@ -219,16 +216,17 @@ class CampaignService:
     def _reject_job(self, name: str, path: str, reason: str) -> None:
         rejected = os.path.join(layout.rejected_dir(self.root), name)
         os.replace(path, rejected)
-        with open(f"{rejected}.error.txt", "w") as handle:
-            handle.write(reason + "\n")
+        atomic_write_text(f"{rejected}.error.txt", reason + "\n")
         self.telemetry.count("service.jobs_rejected")
 
     def recover(self) -> int:
         """Resubmit accepted-but-unassembled submissions (startup).
 
-        Committed units come back from the shared scheduler directory
-        via the broker's submit-time recovery; only the remainder will
-        be leased again.
+        A submission is assembled once its ``failures.json`` exists --
+        the last artifact :meth:`_assemble_one` writes -- so one killed
+        mid-assembly is assembled again in full.  Committed units come
+        back from the shared scheduler directory via the broker's
+        submit-time recovery; only the remainder will be leased again.
         """
         accepted = layout.accepted_dir(self.root)
         recovered = 0
@@ -237,7 +235,7 @@ class CampaignService:
                 continue
             sid = name[: -len(".json")]
             results = ResultsDirectory(layout.results_dir(self.root, sid))
-            if results.has_campaign():
+            if os.path.exists(results.failures_path()):
                 self._assembled.add(sid)
                 continue
             with open(os.path.join(accepted, name)) as handle:
@@ -337,7 +335,9 @@ class CampaignService:
         (never a decode/re-encode round trip), so a service-assembled
         campaign is byte-identical to a ``repro-campaign run`` of the
         same spec -- the differential suite's ``service`` pairing holds
-        the harness to that.
+        the harness to that.  ``failures.json`` is written last: its
+        existence is what ``submit --wait`` and :meth:`recover` read as
+        "this submission is done".
         """
         sid = submission.submission_id
         campaign_dict = campaign_dict_from_entries(entries)
@@ -358,6 +358,11 @@ class CampaignService:
             command=f"repro-campaign serve {self.root}",
         )
         results.save_manifest(manifest)
+        verdict = (
+            self._validate_one(sid, campaign_dict)
+            if self.config.validate
+            else None
+        )
         failed = {
             unit_id: status
             for unit_id, status in self._unit_statuses(sid).items()
@@ -373,19 +378,20 @@ class CampaignService:
             },
         )
         self._record_event("assembled", submission=sid, ok=not failed)
-        if self.config.validate:
-            self._validate_one(sid, campaign_dict)
+        if verdict is not None:
+            self._record_event("validated", submission=sid, ok=verdict)
 
-    def _validate_one(self, sid: str, campaign_dict: dict) -> None:
+    def _validate_one(self, sid: str, campaign_dict: dict) -> bool:
         """Run the post-job gates on one assembled submission.
 
-        The verdict lands in three places: ``validation.json`` next to
-        ``campaign.json`` (the full gate report), the scheduling
-        journal, and the ``validation`` map of ``status.json`` -- so a
-        drifted result is visible to ``repro-campaign status`` without
-        opening the results directory.  A gate failure never unwinds
-        the assembly: the campaign artifacts are already on disk and
-        remain the evidence the gates are complaining about.
+        The verdict lands in ``validation.json`` next to
+        ``campaign.json`` (the full gate report) and in the
+        ``validation`` map of ``status.json`` -- so a drifted result is
+        visible to ``repro-campaign status`` without opening the results
+        directory -- and is returned for the scheduling journal.  A gate
+        failure never unwinds the assembly: the campaign artifacts are
+        already on disk and remain the evidence the gates are
+        complaining about.
         """
         from ..validate.postjob import postjob_report
 
@@ -408,7 +414,7 @@ class CampaignService:
         self.telemetry.count(
             "service.validated", ok="yes" if report["ok"] else "no"
         )
-        self._record_event("validated", submission=sid, ok=report["ok"])
+        return report["ok"]
 
     def _unit_statuses(self, submission_id: str) -> Dict[str, str]:
         plan = self._plans.get(submission_id)

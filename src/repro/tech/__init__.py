@@ -3,8 +3,8 @@
 ``repro.tech`` turns the paper's single silicon point into one member
 of a parameterized family.  A :class:`TechNode` carries the node's
 electrical anchors (nominal supplies, threshold voltage, nominal clock)
-plus multiplicative scale factors for area, capacitance, leakage and
-SEU cross-section; the registry (mirroring :mod:`repro.codecs`) names
+plus multiplicative scale factors for capacitance, leakage and SEU
+cross-section; the registry (mirroring :mod:`repro.codecs`) names
 the built-in calibrated family -- ``45nm``, ``xgene2-28`` (default,
 alias ``28nm``), ``16nm``, ``7nm`` -- and accepts user plugins via
 :func:`register_node`.

@@ -18,7 +18,7 @@ parameterized:
   with ``Vpivot = Vth + Vnth``.  ``c_super`` is normalized so the model
   reproduces the node's nominal frequency at its nominal supply, and
   ``c_sub`` is chosen to make the two branches continuous at the pivot.
-* **Area / capacitance / leakage / cross-section scaling.**  Plain
+* **Capacitance / leakage / cross-section scaling.**  Plain
   multiplicative factors relative to the 28 nm reference, applied by the
   ``for_node`` constructors of the power, cross-section and rate models.
 
@@ -89,9 +89,9 @@ class TechNode:
     nth_mv:
         Width of the near-threshold band: the sub/super pivot sits at
         ``vth_mv + nth_mv``.
-    area_scale / cap_scale / leakage_scale:
-        SRAM cell area, per-core switched capacitance, and static
-        leakage relative to the 28 nm reference.
+    cap_scale / leakage_scale:
+        Per-core switched capacitance and static leakage relative to
+        the 28 nm reference.
     sigma0_scale:
         Per-bit nominal-voltage SEU cross-section relative to 28 nm.
     slope_scale:
@@ -115,7 +115,6 @@ class TechNode:
     alpha: float = 1.4
     vslope_mv: float = 90.0
     nth_mv: float = 200.0
-    area_scale: float = 1.0
     cap_scale: float = 1.0
     leakage_scale: float = 1.0
     sigma0_scale: float = 1.0
@@ -160,7 +159,6 @@ class TechNode:
                 f"on its own {self.freq_step_mhz} MHz grid"
             )
         for label, scale in (
-            ("area", self.area_scale),
             ("capacitance", self.cap_scale),
             ("leakage", self.leakage_scale),
             ("sigma0", self.sigma0_scale),

@@ -128,7 +128,6 @@ def _register_builtins() -> None:
             nominal_freq_mhz=1500,
             freq_step_mhz=25,
             floor_mv=550,
-            area_scale=2.6,
             cap_scale=1.9,
             leakage_scale=0.8,
             sigma0_scale=1.35,
@@ -147,7 +146,6 @@ def _register_builtins() -> None:
             nominal_freq_mhz=3000,
             freq_step_mhz=25,
             floor_mv=480,
-            area_scale=0.33,
             cap_scale=0.55,
             leakage_scale=1.25,
             sigma0_scale=0.55,
@@ -166,7 +164,6 @@ def _register_builtins() -> None:
             nominal_freq_mhz=3600,
             freq_step_mhz=25,
             floor_mv=430,
-            area_scale=0.08,
             cap_scale=0.30,
             leakage_scale=1.6,
             sigma0_scale=0.35,

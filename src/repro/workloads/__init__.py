@@ -13,40 +13,28 @@ kernels to the injection model.
 """
 
 from .base import Workload, WorkloadResult
-from .bt import BtWorkload
 from .cg import CgWorkload
 from .ep import EpWorkload
 from .ft import FtWorkload
 from .is_ import IsWorkload
 from .lu import LuWorkload
 from .mg import MgWorkload
-from .sp import SpWorkload
 from .profiles import WorkloadProfile, PROFILES, benchmark_rate_share
-from .suite import (
-    EXTENDED_SUITE_NAMES,
-    SUITE_NAMES,
-    make_extended_suite,
-    make_suite,
-    make_workload,
-)
+from .suite import SUITE_NAMES, make_suite, make_workload
 
 __all__ = [
     "Workload",
     "WorkloadResult",
-    "BtWorkload",
     "CgWorkload",
     "EpWorkload",
     "FtWorkload",
     "IsWorkload",
     "LuWorkload",
     "MgWorkload",
-    "SpWorkload",
     "WorkloadProfile",
     "PROFILES",
     "benchmark_rate_share",
-    "EXTENDED_SUITE_NAMES",
     "SUITE_NAMES",
-    "make_extended_suite",
     "make_suite",
     "make_workload",
 ]

@@ -1,4 +1,4 @@
-"""Suite registry: the study's six benchmarks, plus NPB extensions."""
+"""Suite registry: the study's six benchmarks."""
 
 from __future__ import annotations
 
@@ -6,40 +6,31 @@ from typing import Dict, List, Type
 
 from ..errors import WorkloadError
 from .base import Workload
-from .bt import BtWorkload
 from .cg import CgWorkload
 from .ep import EpWorkload
 from .ft import FtWorkload
 from .is_ import IsWorkload
 from .lu import LuWorkload
 from .mg import MgWorkload
-from .sp import SpWorkload
 
 #: The six NPB programs used in the paper, in Fig. 5's order.
 SUITE_NAMES: List[str] = ["CG", "LU", "FT", "EP", "MG", "IS"]
 
-#: The full NPB set this library implements: the paper's six plus the
-#: BT/SP extensions (no beam data exists for those two; they carry no
-#: Fig. 5 calibration and exist for fault-injection / workload studies).
-EXTENDED_SUITE_NAMES: List[str] = SUITE_NAMES + ["BT", "SP"]
-
 _CLASSES: Dict[str, Type[Workload]] = {
-    "BT": BtWorkload,
     "CG": CgWorkload,
     "EP": EpWorkload,
     "FT": FtWorkload,
     "IS": IsWorkload,
     "LU": LuWorkload,
     "MG": MgWorkload,
-    "SP": SpWorkload,
 }
 
 
 def make_workload(name: str, scale: float = 1.0, seed: int = 1234) -> Workload:
-    """Instantiate one benchmark by name (paper suite or extension)."""
+    """Instantiate one benchmark of the paper's suite by name."""
     if name not in _CLASSES:
         raise WorkloadError(
-            f"unknown benchmark {name!r}; expected one of {EXTENDED_SUITE_NAMES}"
+            f"unknown benchmark {name!r}; expected one of {SUITE_NAMES}"
         )
     return _CLASSES[name](scale=scale, seed=seed)
 
@@ -48,12 +39,3 @@ def make_suite(scale: float = 1.0, seed: int = 1234) -> Dict[str, Workload]:
     """Instantiate the paper's six-benchmark suite."""
     return {name: make_workload(name, scale, seed) for name in SUITE_NAMES}
 
-
-def make_extended_suite(
-    scale: float = 1.0, seed: int = 1234
-) -> Dict[str, Workload]:
-    """Instantiate all eight NPB-style kernels."""
-    return {
-        name: make_workload(name, scale, seed)
-        for name in EXTENDED_SUITE_NAMES
-    }

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -49,6 +50,20 @@ class TestAtomicWriteText:
         with open(path) as handle:
             assert handle.read() == "precious"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+    def test_mode_follows_the_umask_like_open(self, tmp_path):
+        # tempfile.mkstemp would create 0600 whatever the umask; an
+        # artifact gets the mode a plain open() gives it.
+        previous = os.umask(0o022)
+        try:
+            plain = str(tmp_path / "plain.txt")
+            with open(plain, "w") as handle:
+                handle.write("x")
+            atomic = atomic_write_text(str(tmp_path / "atomic.txt"), "x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(atomic).st_mode) == 0o644
+        assert os.stat(atomic).st_mode == os.stat(plain).st_mode
 
     def test_fsync_false_still_atomic(self, tmp_path):
         path = str(tmp_path / "fast.txt")

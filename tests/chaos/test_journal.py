@@ -1,4 +1,4 @@
-"""The checkpoint journal: append-only JSONL, torn-tail salvage."""
+"""The journals: one append-only JSONL log, torn-tail salvage."""
 
 import json
 import os
@@ -8,10 +8,12 @@ import pytest
 from repro.errors import ReproIOError, SupervisionError
 from repro.resilient import (
     CampaignJournal,
+    EventJournal,
     FSYNC_POLICIES,
     JournalEntry,
     JournalHeader,
 )
+from repro.resilient.journal import AppendLog
 
 HEADER = JournalHeader(
     config_hash="abc123",
@@ -118,6 +120,20 @@ class TestTornLines:
         assert reloaded.salvaged == 0
         assert set(reloaded.entries) == {"session1", "session2"}
 
+    def test_reopen_without_offset_keeps_a_complete_unterminated_line(
+        self, tmp_path
+    ):
+        # A crash that tore off only the final newline leaves a line
+        # the reader keeps; reopening must keep it too, and terminate it.
+        path = write_journal(tmp_path / "journal.jsonl", [entry("session1")])
+        with open(path, "rb+") as handle:
+            handle.truncate(os.path.getsize(path) - 1)
+        with CampaignJournal(path, fsync="never").reopen() as journal:
+            journal.append_unit(entry("session2"))
+        reloaded = CampaignJournal.load(path)
+        assert reloaded.salvaged == 0
+        assert set(reloaded.entries) == {"session1", "session2"}
+
     def test_torn_middle_refuses_salvage(self, tmp_path):
         path = write_journal(tmp_path / "journal.jsonl", [])
         with open(path, "a") as handle:
@@ -186,3 +202,54 @@ class TestSchemaAndPolicies:
         journal = CampaignJournal(path, fsync="never").reopen()
         journal.close()
         journal.close()
+
+
+BROKER_HEADER = {"schema": 1, "broker": "broker-a"}
+
+
+class TestEventJournal:
+    def test_header_written_only_when_new(self, tmp_path):
+        path = str(tmp_path / "journal-broker-a.jsonl")
+        with EventJournal(path, header=BROKER_HEADER, fsync="never") as log:
+            log.append({"event": "submit", "unit": "u1"})
+        with EventJournal(path, header=BROKER_HEADER, fsync="never") as log:
+            log.append({"event": "lease", "unit": "u1"})
+        records = AppendLog.read(path).records
+        assert [r.get("kind") for r in records] == ["header", None, None]
+        assert records[0] == dict(BROKER_HEADER, kind="header")
+
+    def test_lines_have_sorted_keys(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with EventJournal(path, fsync="never") as log:
+            log.append({"unit": "u1", "event": "lease", "attempt": 2})
+        with open(path) as handle:
+            assert handle.read() == (
+                '{"attempt": 2, "event": "lease", "unit": "u1"}\n'
+            )
+
+    def test_unknown_fsync_policy_rejected(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with pytest.raises(SupervisionError, match="fsync"):
+            EventJournal(str(path), fsync="sometimes")
+        assert not path.exists()
+
+    def test_restart_after_torn_tail_appends_cleanly(self, tmp_path):
+        # A broker SIGKILLed mid-append, restarted under the same id
+        # (serve --broker-id), must not glue its next event onto the
+        # torn fragment.
+        path = str(tmp_path / "journal-broker-a.jsonl")
+        with EventJournal(path, header=BROKER_HEADER, fsync="never") as log:
+            log.append({"event": "lease", "unit": "u1"})
+        with open(path, "a") as handle:
+            handle.write('{"event": "lease", "unit')
+        appended = [
+            {"event": "lease", "unit": "u2"},
+            {"event": "complete", "unit": "u2"},
+        ]
+        with EventJournal(path, header=BROKER_HEADER, fsync="never") as log:
+            for event in appended:
+                log.append(event)
+        read = AppendLog.read(path)
+        assert read.salvaged == 0
+        survivor = {"event": "lease", "unit": "u1"}
+        assert read.records[1:] == [survivor, *appended]

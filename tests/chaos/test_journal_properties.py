@@ -8,7 +8,9 @@ properties assert, for every truncation point past the header line:
   entries -- and what survives is an exact prefix of what was written;
 * the salvaged journal is *resumable*: reopening at ``valid_end`` and
   re-appending the lost entries reproduces a journal that loads clean;
-* :func:`read_journal_header` agrees with the full loader.
+* :func:`read_journal_header` agrees with the full loader;
+* the broker's :class:`EventJournal`, reopened after any cut the way a
+  restarted ``serve --broker-id`` reopens it, appends cleanly too.
 """
 
 import json
@@ -19,10 +21,12 @@ from hypothesis import strategies as st
 
 from repro.resilient import (
     CampaignJournal,
+    EventJournal,
     JournalEntry,
     JournalHeader,
     read_journal_header,
 )
+from repro.resilient.journal import AppendLog
 
 HEADER = JournalHeader(
     config_hash="abc123",
@@ -127,3 +131,48 @@ def test_salvaged_journal_is_resumable(payloads, data, tmp_path_factory):
     with open(path, "rb") as handle:
         for line in handle.read().splitlines():
             json.loads(line)
+
+
+EVENT_HEADER = {"schema": 1, "broker": "broker-a"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(payloads=payload_lists, data=st.data())
+def test_salvaged_event_journal_is_resumable(
+    payloads, data, tmp_path_factory
+):
+    path = str(tmp_path_factory.mktemp("events") / "journal-broker-a.jsonl")
+    events = [{"event": "lease", "unit": f"u{p}"} for p in payloads]
+    with EventJournal(path, header=EVENT_HEADER, fsync="never") as journal:
+        for event in events:
+            journal.append(event)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    header_end = raw.index(b"\n") + 1
+
+    cut = data.draw(
+        st.integers(min_value=header_end, max_value=len(raw)), label="cut"
+    )
+    with open(path, "wb") as handle:
+        handle.write(raw[:cut])
+
+    # Reopen the same path, as a restarted broker with the same id
+    # does, and append.
+    appended = [
+        {"event": "lease", "unit": "after-1"},
+        {"event": "complete", "unit": "after-2"},
+    ]
+    with EventJournal(path, header=EVENT_HEADER, fsync="never") as journal:
+        for event in appended:
+            journal.append(event)
+
+    # Every line of the healed file parses: the torn fragment is gone.
+    with open(path, "rb") as handle:
+        for line in handle.read().splitlines():
+            json.loads(line)
+    read = AppendLog.read(path)
+    assert read.salvaged == 0
+    assert read.records[0] == dict(EVENT_HEADER, kind="header")
+    survived = read.records[1:-len(appended)]
+    assert survived == events[: len(survived)]
+    assert read.records[-len(appended):] == appended

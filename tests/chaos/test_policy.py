@@ -1,4 +1,4 @@
-"""Failure taxonomy, backoff schedule, and the watchdog timeout bridge."""
+"""Failure taxonomy and the shared backoff schedule."""
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -11,7 +11,6 @@ from repro.errors import (
     ReproIOError,
     SupervisionError,
 )
-from repro.harness import WatchdogPolicy, calibrate_watchdog
 from repro.resilient import (
     FailureClass,
     SupervisionPolicy,
@@ -19,6 +18,7 @@ from repro.resilient import (
     classify_failure,
 )
 from repro.resilient.chaos import ChaosFatalError, ChaosTransientError
+from repro.scheduler.retry import RetryPolicy, backoff_delay
 
 
 class TestClassifyFailure:
@@ -75,7 +75,7 @@ class TestClassifyFailure:
 class TestBackoff:
     def test_schedule_is_exponential_and_capped(self):
         policy = SupervisionPolicy(
-            max_retries=5, backoff_s=0.1, backoff_factor=2.0, max_backoff_s=0.5
+            max_retries=5, backoff_s=0.1, max_backoff_s=0.5
         )
         assert policy.backoff_schedule() == [0.1, 0.2, 0.4, 0.5, 0.5]
 
@@ -83,6 +83,18 @@ class TestBackoff:
         # Deterministic by construction: same policy, same schedule.
         policy = SupervisionPolicy(max_retries=3)
         assert policy.backoff_schedule() == policy.backoff_schedule()
+
+    def test_unit_and_store_retries_share_one_backoff(self):
+        # One capped doubling behind both retry policies; each keeps
+        # its own base and cap.
+        unit = SupervisionPolicy(
+            max_retries=4, backoff_s=0.01, max_backoff_s=0.05
+        )
+        store = RetryPolicy(attempts=5, base_delay_s=0.01, max_delay_s=0.05)
+        expected = [backoff_delay(0.01, 0.05, k) for k in range(1, 5)]
+        assert expected == [0.01, 0.02, 0.04, 0.05]
+        assert unit.backoff_schedule() == expected
+        assert list(store.delays()) == expected
 
     def test_attempt_is_one_based(self):
         with pytest.raises(SupervisionError, match="1-based"):
@@ -96,35 +108,9 @@ class TestBackoff:
             {"max_retries": -1},
             {"backoff_s": -0.1},
             {"max_backoff_s": -1.0},
-            {"backoff_factor": 0.5},
             {"max_pool_breakages": -1},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(SupervisionError):
             SupervisionPolicy(**kwargs)
-
-    def test_replace_overrides(self):
-        policy = SupervisionPolicy().replace_(max_retries=7)
-        assert policy.max_retries == 7
-
-
-class TestWatchdogBridge:
-    def test_from_watchdog_takes_its_timeout(self):
-        watchdog = WatchdogPolicy(
-            timeout_s=42.0,
-            false_alarm_probability=1e-4,
-            mean_detection_delay_s=42.0,
-        )
-        policy = SupervisionPolicy.from_watchdog(watchdog, max_retries=1)
-        assert policy.timeout_s == 42.0
-        assert policy.max_retries == 1
-
-    def test_calibrated_matches_watchdog_calibration(self):
-        # One timeout mechanism: the supervision timeout IS the
-        # Section 3.6 watchdog timeout, not a second timer stack.
-        durations = [10.0, 11.0, 12.0, 10.5, 11.5, 9.0, 13.0, 12.5,
-                     10.2, 11.8, 9.6, 12.1]
-        watchdog = calibrate_watchdog(durations)
-        policy = SupervisionPolicy.calibrated(durations)
-        assert policy.timeout_s == watchdog.timeout_s

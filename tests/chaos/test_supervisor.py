@@ -99,7 +99,6 @@ class TestRetries:
             sleep=slept.append,
             max_retries=3,
             backoff_s=0.1,
-            backoff_factor=2.0,
             max_backoff_s=10.0,
         )
         assert executor.map(units(1)) == [0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import Table, render_table, write_csv
+from repro.core.report import Table, render_table
 from repro.errors import AnalysisError
 
 
@@ -45,8 +45,3 @@ class TestCsv:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "a,b,c"
         assert len(lines) == 3
-
-    def test_write_csv(self, table, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(table, str(path))
-        assert path.read_text().startswith("a,b,c")

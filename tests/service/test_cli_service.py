@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.cli import EXIT_SCHEDULER_BUSY, main
+from repro.cli import EXIT_SCHEDULER_BUSY, EXIT_STRICT_FAILURES, main
 from repro.scheduler import CampaignSpec
 from repro.service import jobs_dir, results_dir, status_path
 
@@ -74,6 +74,40 @@ class TestStatus:
         assert "serve" in capsys.readouterr().err
 
 
+class TestSubmitWait:
+    """--wait keys on failures.json, the last artifact assembly writes."""
+
+    def _assembled(self, tmp_path, failures=None):
+        root = str(tmp_path / "root")
+        outdir = results_dir(root, SPEC.submission_id)
+        os.makedirs(outdir)
+        with open(os.path.join(outdir, "campaign.json"), "w") as handle:
+            handle.write("{}")
+        if failures is not None:
+            with open(os.path.join(outdir, "failures.json"), "w") as handle:
+                handle.write(failures)
+        return root
+
+    def test_campaign_json_alone_is_not_done(self, tmp_path, capsys):
+        root = self._assembled(tmp_path)
+        assert main(["submit", root, *SPEC_ARGS, "--wait", "0.3"]) == 1
+        captured = capsys.readouterr()
+        assert "timed out" in captured.err
+        assert "complete" not in captured.out
+
+    def test_failed_units_exit_3(self, tmp_path):
+        root = self._assembled(tmp_path, failures='{"ok": false}')
+        assert (
+            main(["submit", root, *SPEC_ARGS, "--wait", "1"])
+            == EXIT_STRICT_FAILURES
+        )
+
+    def test_unreadable_failures_report_exits_1(self, tmp_path, capsys):
+        root = self._assembled(tmp_path, failures="{torn")
+        assert main(["submit", root, *SPEC_ARGS, "--wait", "1"]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+
 class TestServeFlow:
     """submit -> serve --idle-exit -> status, one shared flight."""
 
@@ -125,7 +159,7 @@ class TestServeFlow:
 
     def test_submit_wait_returns_immediately_when_done(self, root, capsys):
         # The campaign is already assembled: --wait must see the
-        # existing campaign.json and report success without a timeout.
+        # existing failures.json and report success without a timeout.
         assert main(["submit", root, *SPEC_ARGS, "--wait", "5"]) == 0
         assert "complete" in capsys.readouterr().out
 

@@ -169,7 +169,7 @@ class TestRecovery:
         assert service.recover() == 1
         assert service.broker.pending_count() == 4
 
-    def test_skips_already_assembled(self, service):
+    def _accept_with_artifacts(self, service, *names):
         spec = CampaignSpec(time_scale=TIME_SCALE)
         sid = spec.submission_id
         with open(
@@ -178,11 +178,47 @@ class TestRecovery:
             handle.write(spec.to_json())
         outdir = results_dir(service.root, sid)
         os.makedirs(outdir)
-        with open(os.path.join(outdir, "campaign.json"), "w") as handle:
-            handle.write("{}")
+        for name in names:
+            with open(os.path.join(outdir, name), "w") as handle:
+                handle.write("{}")
+        return sid
+
+    def test_skips_already_assembled(self, service):
+        # failures.json is assembly's last write: with it on disk, the
+        # submission is done.
+        sid = self._accept_with_artifacts(
+            service, "campaign.json", "failures.json"
+        )
         assert service.recover() == 0
         assert service.broker.pending_count() == 0
         assert sid in service.status_dict()["assembled"]
+
+    def test_resubmits_half_assembled(self, service):
+        # Killed after campaign.json but before failures.json: the
+        # submission is not done, so recovery resubmits it.
+        sid = self._accept_with_artifacts(service, "campaign.json")
+        assert service.recover() == 1
+        assert service.broker.pending_count() == 4
+        assert sid not in service.status_dict()["assembled"]
+
+    def test_restart_finishes_a_half_assembled_submission(self, tmp_path):
+        root = str(tmp_path / "root")
+        spec = CampaignSpec(seed=5, time_scale=TIME_SCALE)
+        first = make_service(root, idle_exit_s=0.2)
+        drop_job(root, spec)
+        assert first.serve() == 0
+        outdir = results_dir(root, spec.submission_id)
+        written = sorted(os.listdir(outdir))
+        with open(os.path.join(outdir, "campaign.json"), "rb") as handle:
+            campaign = handle.read()
+        # Simulate a kill right after the first assembly write.
+        for name in written:
+            if name != "campaign.json":
+                os.remove(os.path.join(outdir, name))
+        assert make_service(root, idle_exit_s=0.2).serve() == 0
+        assert sorted(os.listdir(outdir)) == written
+        with open(os.path.join(outdir, "campaign.json"), "rb") as handle:
+            assert handle.read() == campaign
 
 
 class TestServeEndToEnd:

@@ -49,7 +49,7 @@ class TestBuiltins:
         assert node.num_cores == 8
         # All scale factors are exactly 1: the anchor node changes
         # nothing about the calibrated models.
-        assert node.area_scale == node.cap_scale == 1.0
+        assert node.cap_scale == node.leakage_scale == 1.0
         assert node.sigma0_scale == node.slope_scale == 1.0
 
     def test_28nm_alias_resolves_to_the_anchor(self):
@@ -68,8 +68,8 @@ class TestBuiltins:
     def test_finer_nodes_are_smaller_and_leakier(self):
         n45, n28 = get_node("45nm"), get_node("xgene2-28")
         n16, n7 = get_node("16nm"), get_node("7nm")
-        areas = [n.area_scale for n in (n45, n28, n16, n7)]
-        assert areas == sorted(areas, reverse=True)
+        sizes = [n.process_nm for n in (n45, n28, n16, n7)]
+        assert sizes == sorted(sizes, reverse=True)
         leaks = [n.leakage_scale for n in (n45, n28, n16, n7)]
         assert leaks == sorted(leaks)
 
@@ -158,7 +158,6 @@ class TestValidation:
 
     def test_scales_must_be_positive(self):
         for field in (
-            "area_scale",
             "cap_scale",
             "leakage_scale",
             "sigma0_scale",
