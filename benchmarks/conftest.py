@@ -1,19 +1,20 @@
 """Shared fixtures for the benchmark harness.
 
-Every table/figure bench consumes the same full-length Table 2 campaign
-(flown once per pytest session, ~10 s) plus the deterministic model
-series.  Each bench times the *regeneration* of its artifact from the
-campaign data; numeric conformance to the paper goes through the golden
-oracle registry (``repro.validate``) at the tolerances the golden files
-declare, and the remaining asserts are paper-shape invariants -- who
-wins, which direction trends point, rough factors.
+Every table/figure bench regenerates its artifact through the same
+experiment driver that ``repro-experiment`` runs, over one full-length
+Table 2 campaign (flown once per pytest session, ~10 s), and times that
+regeneration.  Numeric conformance to the paper goes through the golden
+oracle registry (``repro.validate``), whose extractors read the same
+drivers' series, at the tolerances the golden files declare; the
+remaining asserts are paper-shape invariants on the driver's series --
+who wins, which direction trends point, rough factors.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import CampaignAnalysis
+from repro.experiments import run_experiment
 from repro.experiments.config import shared_campaign
 from repro.validate import default_registry
 from repro.validate.conformance import MEASUREMENTS
@@ -33,17 +34,26 @@ BENCH_TIME_SCALE = 1.0
 def campaign():
     """The four Table 2 sessions at full length (flown once).
 
-    Sourced through :func:`shared_campaign` so the conformance
-    extractors in :mod:`repro.validate.conformance` reuse the exact
-    same flown campaign instead of re-flying it per artifact.
+    Sourced through :func:`shared_campaign`, the cache every experiment
+    driver reads, so the drivers and the conformance extractors reuse
+    this flown campaign instead of re-flying it per artifact.
     """
     return shared_campaign(BENCH_SEED, BENCH_TIME_SCALE)
 
 
 @pytest.fixture(scope="session")
-def analysis(campaign):
-    """Analysis views over the benchmark campaign."""
-    return CampaignAnalysis(campaign)
+def experiment(campaign):
+    """``experiment("fig6")`` runs that artifact's driver on the bench
+    campaign -- what ``repro-experiment fig6`` prints at this seed and
+    scale.  The campaign is flown at fixture setup, so a bench times
+    the regeneration, not the flight."""
+
+    def run(artifact: str):
+        return run_experiment(
+            artifact, seed=BENCH_SEED, time_scale=BENCH_TIME_SCALE
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")
@@ -54,12 +64,13 @@ def registry():
 
 @pytest.fixture(scope="session")
 def conformance(campaign, registry):
-    """Gate one artifact's bench measurements against its golden file.
+    """Gate one artifact's driver output against its golden file.
 
-    ``conformance("fig6")`` re-measures the artifact through the same
-    extractor the ``validate`` CLI uses (hitting the cached campaign)
-    and asserts every registry gate passes, rendering the failed gates
-    -- golden value, measured value, declared tolerance -- on mismatch.
+    ``conformance("fig6")`` measures the artifact through the same
+    extractor the ``validate`` CLI uses (which reads the driver's
+    series over the cached campaign) and asserts every registry gate
+    passes, rendering the failed gates -- golden value, measured
+    value, declared tolerance -- on mismatch.
     """
 
     def check(artifact: str) -> None:

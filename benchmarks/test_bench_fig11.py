@@ -1,41 +1,23 @@
 """Bench: Fig. 11 -- FIT per failure category and voltage (2.4 GHz)."""
 
-from repro.injection.events import OutcomeKind
 
-_KINDS = [OutcomeKind.APP_CRASH, OutcomeKind.SYS_CRASH, OutcomeKind.SDC]
-
-
-def _collect(analysis, campaign):
-    fit = {}
-    for label in campaign.labels():
-        point = campaign.session(label).plan.point
-        if point.freq_mhz != 2400:
-            continue
-        fit[point.pmd_mv] = {
-            "by_kind": {
-                k.value: analysis.category_fit(label, k).fit for k in _KINDS
-            },
-            "total": analysis.total_fit(label).fit,
-            "label": label,
-        }
-    return fit
-
-
-def test_bench_fig11(benchmark, analysis, campaign, conformance):
-    fit = benchmark(_collect, analysis, campaign)
+def test_bench_fig11(benchmark, experiment, conformance):
+    fit = benchmark(experiment, "fig11").series["fit"]
 
     print("\nFig. 11: FIT per category (980/930/920 mV)")
     for mv, row in sorted(fit.items(), reverse=True):
-        cats = ", ".join(f"{k} {v:6.2f}" for k, v in row["by_kind"].items())
-        print(f"  {mv} mV: {cats}, total {row['total']:.2f}")
+        cats = ", ".join(
+            f"{k} {v:6.2f}" for k, v in row.items() if k != "Total"
+        )
+        print(f"  {mv} mV: {cats}, total {row['Total']:.2f}")
 
     # Total FIT per voltage, the Vmin SDC FIT, and the headline SDC /
     # total multipliers gate against the golden file (fig11.json).
     conformance("fig11")
 
     # SDC FIT rises monotonically and explodes at Vmin.
-    sdc = [fit[mv]["by_kind"]["SDC"] for mv in (980, 930, 920)]
+    sdc = [fit[mv]["SDC"] for mv in (980, 930, 920)]
     assert sdc[0] < sdc[1] < sdc[2]
 
     # Crash FITs do not grow the way SDCs do (paper: they shrink).
-    assert fit[920]["by_kind"]["SysCrash"] < fit[980]["by_kind"]["SysCrash"] * 1.5
+    assert fit[920]["SysCrash"] < fit[980]["SysCrash"] * 1.5

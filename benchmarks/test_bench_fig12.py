@@ -1,22 +1,8 @@
 """Bench: Fig. 12 -- SDC FIT with vs without HW notification (2.4 GHz)."""
 
 
-def _collect(analysis, campaign):
-    split = {}
-    for label in campaign.labels():
-        point = campaign.session(label).plan.point
-        if point.freq_mhz != 2400:
-            continue
-        fits = analysis.sdc_fit_by_notification(label)
-        split[point.pmd_mv] = {
-            "without": fits["without_notification"].fit,
-            "with": fits["with_notification"].fit,
-        }
-    return split
-
-
-def test_bench_fig12(benchmark, analysis, campaign, conformance):
-    split = benchmark(_collect, analysis, campaign)
+def test_bench_fig12(benchmark, experiment, conformance):
+    split = benchmark(experiment, "fig12").series["sdc_fit"]
 
     print("\nFig. 12: SDC FIT w/o vs w/ notification (2.4 GHz)")
     for mv, row in sorted(split.items(), reverse=True):

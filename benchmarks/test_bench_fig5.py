@@ -1,28 +1,8 @@
 """Bench: Fig. 5 -- per-benchmark upsets/minute at the 2.4 GHz voltages."""
 
-from repro.experiments.fig5 import DISPLAY_ORDER
 
-
-def _collect(analysis, campaign):
-    labels = [
-        label
-        for label in campaign.labels()
-        if campaign.session(label).plan.point.freq_mhz == 2400
-    ]
-    rates = {}
-    for bench in DISPLAY_ORDER:
-        rates[bench] = [
-            analysis.benchmark_upset_rates(label)[bench].per_minute
-            for label in labels
-        ]
-    rates["Total"] = [
-        analysis.upset_rate(label).per_minute for label in labels
-    ]
-    return rates
-
-
-def test_bench_fig5(benchmark, analysis, campaign, conformance):
-    rates = benchmark(_collect, analysis, campaign)
+def test_bench_fig5(benchmark, experiment, conformance):
+    rates = benchmark(experiment, "fig5").series["rates"]
 
     print("\nFig. 5: upsets/min per benchmark (980/930/920 mV)")
     for bench, row in rates.items():

@@ -1,31 +1,8 @@
 """Bench: Fig. 6 -- upsets/minute per cache level at 2.4 GHz."""
 
-KEYS = [
-    ("TLBs", "CE"),
-    ("L1 Cache", "CE"),
-    ("L2 Cache", "CE"),
-    ("L3 Cache", "CE"),
-    ("L3 Cache", "UE"),
-]
 
-
-def _collect(analysis, campaign):
-    labels = [
-        label
-        for label in campaign.labels()
-        if campaign.session(label).plan.point.freq_mhz == 2400
-    ]
-    out = {}
-    for key in KEYS:
-        out[key] = [
-            analysis.level_upset_rates(label).get(f"{key[0]}/{key[1]}", 0.0)
-            for label in labels
-        ]
-    return out
-
-
-def test_bench_fig6(benchmark, analysis, campaign, conformance):
-    rates = benchmark(_collect, analysis, campaign)
+def test_bench_fig6(benchmark, experiment, conformance):
+    rates = benchmark(experiment, "fig6").series["rates"]
 
     print("\nFig. 6: upsets/min per level (980/930/920 mV)")
     for key, row in rates.items():

@@ -1,26 +1,8 @@
 """Bench: Fig. 7 -- per-level upsets/minute at 790 mV / 900 MHz."""
 
-KEYS = [
-    ("TLBs", "CE"),
-    ("L1 Cache", "CE"),
-    ("L2 Cache", "CE"),
-    ("L3 Cache", "CE"),
-    ("L3 Cache", "UE"),
-]
 
-
-def _collect(analysis, campaign):
-    label = next(
-        label
-        for label in campaign.labels()
-        if campaign.session(label).plan.point.freq_mhz == 900
-    )
-    rates = analysis.level_upset_rates(label)
-    return {key: rates.get(f"{key[0]}/{key[1]}", 0.0) for key in KEYS}
-
-
-def test_bench_fig7(benchmark, analysis, campaign, conformance):
-    rates = benchmark(_collect, analysis, campaign)
+def test_bench_fig7(benchmark, experiment, conformance):
+    rates = benchmark(experiment, "fig7").series["rates"]
     print("\nFig. 7: upsets/min per level at 790 mV @ 900 MHz")
     for key, rate in rates.items():
         print(f"  {key[0]:>9}/{key[1]}: {rate:.3f}")

@@ -1,19 +1,8 @@
 """Bench: Fig. 8 -- failure-category percentages per voltage (2.4 GHz)."""
 
 
-def _collect(analysis, campaign):
-    mixes = {}
-    for label in campaign.labels():
-        point = campaign.session(label).plan.point
-        if point.freq_mhz != 2400:
-            continue
-        mix = analysis.failure_mix(label)
-        mixes[point.pmd_mv] = {k.value: v for k, v in mix.items()}
-    return mixes
-
-
-def test_bench_fig8(benchmark, analysis, campaign, conformance):
-    mixes = benchmark(_collect, analysis, campaign)
+def test_bench_fig8(benchmark, experiment, conformance):
+    mixes = benchmark(experiment, "fig8").series["mixes_pct"]
 
     print("\nFig. 8: failure mix per voltage (%)")
     for mv, mix in sorted(mixes.items(), reverse=True):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.tradeoff import build_tradeoff_series
 
 
-def test_bench_fig9(benchmark, analysis, campaign, conformance):
+def test_bench_fig9(benchmark, experiment, conformance):
     series = benchmark(build_tradeoff_series)
 
     print("\nFig. 9: power (W) and upsets/min per setting")
@@ -22,9 +22,7 @@ def test_bench_fig9(benchmark, analysis, campaign, conformance):
     # The measured campaign rates agree with the model line (statistical
     # consistency of the Monte-Carlo sessions with the deterministic
     # figure).
-    measured = [
-        analysis.upset_rate(label).per_minute for label in campaign.labels()
-    ]
+    measured = experiment("table2").series["upset_rates"]
     for ours, model_point in zip(measured, series.points):
         assert ours == pytest.approx(model_point.upsets_per_min, rel=0.15)
 

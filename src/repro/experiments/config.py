@@ -1,12 +1,12 @@
-"""Shared experiment configuration and the paper's reference numbers.
-
-:data:`PAPER` collects every number the paper reports for the
-reproduced tables and figures, so benches and EXPERIMENTS.md compare
-measured-vs-paper from a single source of truth.
+"""Shared experiment configuration.
 
 :func:`shared_campaign` runs (and caches) one Table 2 campaign per
 (seed, time_scale) so that the several figure drivers that consume
-session data do not re-fly the beam for each figure.
+session data do not re-fly the beam for each figure.  Those drivers are
+the one derivation of each campaign-backed artifact: the conformance
+extractors in :mod:`repro.validate.conformance` and the figure benches
+read their ``series``.  The paper's own numbers live in the golden
+files under ``repro/validate/golden/``, with tolerances and provenance.
 """
 
 from __future__ import annotations
@@ -85,103 +85,3 @@ def shared_campaign(
         ).run()
     return _CAMPAIGN_CACHE[key]
 
-
-#: Paper-reported values, keyed by artifact id.  These are the targets
-#: the reproduction is compared against in EXPERIMENTS.md and asserted
-#: (by *shape*, not absolute value) in benchmarks/.
-PAPER: Dict[str, Dict[str, object]] = {
-    "table2": {
-        "voltages_mv": [980, 930, 920, 790],
-        "durations_min": [1651, 1618, 453, 165],
-        "fluences": [1.49e11, 1.46e11, 4.08e10, 1.48e10],
-        "nyc_years": [1.30e6, 1.28e6, 3.58e5, 1.30e5],
-        "failures": [95, 97, 141, 13],
-        "failure_rates": [5.75e-2, 5.99e-2, 3.11e-1, 7.87e-2],
-        "upsets": [1669, 1743, 506, 195],
-        "upset_rates": [1.011, 1.077, 1.117, 1.182],
-        "ser_fit_per_mbit": [2.08, 2.22, 2.30, 2.45],
-    },
-    "table3": {
-        "rows": [
-            ("Nominal", 2400, 980, 950),
-            ("Safe", 2400, 930, 925),
-            ("Vmin", 2400, 920, 920),
-            ("Vmin@900MHz", 900, 790, 950),
-        ],
-    },
-    "fig4": {
-        "safe_vmin_mv": {2400: 920, 900: 790},
-        "full_fail_mv": {2400: 900, 900: 780},
-    },
-    "fig5": {
-        "rates": {
-            "CG": [0.87, 0.84, 0.58],
-            "LU": [1.15, 1.09, 1.03],
-            "FT": [1.11, 1.21, 1.37],
-            "EP": [1.03, 1.22, 1.17],
-            "MG": [0.94, 1.02, 1.32],
-            "IS": [1.03, 1.11, 1.28],
-            "Total": [1.01, 1.08, 1.12],
-        },
-        "voltages_mv": [980, 930, 920],
-        "max_increase_pct": 40.4,
-    },
-    "fig6": {
-        "voltages_mv": [980, 930, 920],
-        "rates": {
-            ("TLBs", "CE"): [0.016, 0.011, 0.009],
-            ("L1 Cache", "CE"): [0.028, 0.037, 0.026],
-            ("L2 Cache", "CE"): [0.157, 0.178, 0.194],
-            ("L3 Cache", "CE"): [0.765, 0.809, 0.841],
-            ("L3 Cache", "UE"): [0.038, 0.041, 0.035],
-        },
-    },
-    "fig7": {
-        "rates": {
-            ("TLBs", "CE"): 0.03,
-            ("L1 Cache", "CE"): 0.07,
-            ("L2 Cache", "CE"): 0.29,
-            ("L3 Cache", "CE"): 0.83,
-            ("L3 Cache", "UE"): 0.04,
-        },
-    },
-    "fig8": {
-        "voltages_mv": [980, 930, 920],
-        "mixes_pct": {
-            980: {"AppCrash": 17.9, "SysCrash": 51.6, "SDC": 30.5},
-            930: {"AppCrash": 7.2, "SysCrash": 37.1, "SDC": 55.7},
-            920: {"AppCrash": 2.1, "SysCrash": 5.7, "SDC": 92.2},
-        },
-    },
-    "fig9": {
-        "settings": [(2400, 980), (2400, 930), (2400, 920), (900, 790)],
-        "power_watts": [20.40, 18.63, 18.15, 10.59],
-        "upsets_per_min": [1.01, 1.08, 1.12, 1.18],
-    },
-    "fig10": {
-        "settings": [(2400, 930), (2400, 920), (900, 790)],
-        "power_savings_pct": [8.7, 11.0, 48.1],
-        "susceptibility_increase_pct": [6.9, 10.9, 16.8],
-    },
-    "fig11": {
-        "voltages_mv": [980, 930, 920],
-        "fit": {
-            980: {"AppCrash": 1.49, "SysCrash": 4.29, "SDC": 2.54, "Total": 8.31},
-            930: {"AppCrash": 0.62, "SysCrash": 3.21, "SDC": 4.82, "Total": 8.66},
-            920: {"AppCrash": 0.96, "SysCrash": 2.55, "SDC": 41.43, "Total": 54.83},
-        },
-        "sdc_increase_x": 16.3,
-        "total_increase_x": 6.6,
-    },
-    "fig12": {
-        "voltages_mv": [980, 930, 920],
-        "sdc_fit": {
-            980: {"without": 1.84, "with": 0.70},
-            930: {"without": 3.84, "with": 0.98},
-            920: {"without": 39.2, "with": 2.23},
-        },
-    },
-    "fig13": {
-        "sdc_fit": {"without": 4.39, "with": 0.88},
-    },
-}

@@ -31,19 +31,18 @@ def run(
         if campaign.session(label).plan.point.freq_mhz == 900
     )
     fits = analysis.sdc_fit_by_notification(label)
+    without, notified = fits["without_notification"], fits["with_notification"]
 
     table = Table(
         title="Figure 13: SDC FIT w/ and w/o notification (790 mV @ 900 MHz)",
         header=["SDC FIT w/o notification", "SDC FIT w/ corrected notification"],
     )
-    table.add_row(
-        fits["without_notification"].fit, fits["with_notification"].fit
-    )
+    table.add_row(without.fit, notified.fit)
     series = {
-        "sdc_fit": {
-            "without": fits["without_notification"].fit,
-            "with": fits["with_notification"].fit,
-        }
+        "sdc_fit": {"without": without.fit, "with": notified.fit},
+        "without_upper": without.interval.upper,
+        "sdc_notified": notified.events,
+        "sdcs": without.events + notified.events,
     }
     notes = (
         "session 4 flew only 165 minutes (13 events in the paper), so "

@@ -29,17 +29,33 @@ LEVEL_ORDER: List[Tuple[str, str]] = [
 ]
 
 
-def _collect(
-    analysis: CampaignAnalysis, labels: List[str]
-) -> Dict[Tuple[str, str], List[float]]:
-    out: Dict[Tuple[str, str], List[float]] = {key: [] for key in LEVEL_ORDER}
+def level_counts(session) -> Dict[Tuple[str, str], int]:
+    """One session's upset count per Fig. 6/7 bar, in LEVEL_ORDER.
+
+    Zero-filled: a session short enough to observe no events of some
+    (level, severity) still has a bar, and 0 is inside any Poisson
+    acceptance band with a small scaled mean.
+    """
+    counts = {
+        (level.value, severity.value): count
+        for (level, severity), count in session.upsets.counts.items()
+    }
+    return {key: counts.get(key, 0) for key in LEVEL_ORDER}
+
+
+def _collect(campaign, analysis: CampaignAnalysis, labels: List[str]):
+    """Per-bar upset rates and counts, one entry per session."""
+    rates: Dict[Tuple[str, str], List[float]] = {key: [] for key in LEVEL_ORDER}
+    counts: Dict[Tuple[str, str], List[int]] = {key: [] for key in LEVEL_ORDER}
     for label in labels:
-        rates = analysis.level_upset_rates(label)
+        session_rates = analysis.level_upset_rates(label)
+        session_counts = level_counts(campaign.session(label))
         for level, severity in LEVEL_ORDER:
-            out[(level, severity)].append(
-                rates.get(f"{level}/{severity}", 0.0)
+            rates[(level, severity)].append(
+                session_rates.get(f"{level}/{severity}", 0.0)
             )
-    return out
+            counts[(level, severity)].append(session_counts[(level, severity)])
+    return rates, counts
 
 
 def run(
@@ -58,7 +74,7 @@ def run(
     voltages = [
         campaign.session(label).plan.point.pmd_mv for label in labels
     ]
-    rates = _collect(analysis, labels)
+    rates, counts = _collect(campaign, analysis, labels)
 
     table = Table(
         title="Figure 6: Upsets per minute per cache level (2.4 GHz)",
@@ -67,5 +83,5 @@ def run(
     for (level, severity), row in rates.items():
         table.add_row(level, severity, *row)
 
-    series = {"rates": rates, "voltages_mv": voltages}
+    series = {"rates": rates, "counts": counts, "voltages_mv": voltages}
     return ExperimentResult(experiment_id="fig6", table=table, series=series)

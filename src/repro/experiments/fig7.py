@@ -16,7 +16,7 @@ from .config import (
     ExperimentResult,
     shared_campaign,
 )
-from .fig6 import LEVEL_ORDER
+from .fig6 import LEVEL_ORDER, level_counts
 
 
 def run(
@@ -44,7 +44,11 @@ def run(
         series_rates[(level, severity)] = rate
         table.add_row(level, severity, rate)
 
-    series = {"rates": series_rates, "session": label}
+    series = {
+        "rates": series_rates,
+        "counts": level_counts(campaign.session(label)),
+        "session": label,
+    }
     notes = (
         "PMD arrays (TLB/L1/L2) are at 790 mV; the L3 sits in the SoC "
         "domain at its 950 mV nominal, hence its rate does not rise"

@@ -42,10 +42,15 @@ def run(
         header=["PMD Voltage (mV)"] + [k.value for k in CATEGORY_ORDER],
     )
     mixes: Dict[int, Dict[str, float]] = {}
+    counts: Dict[int, Dict[str, int]] = {}
     for label in labels:
-        voltage = campaign.session(label).plan.point.pmd_mv
+        session = campaign.session(label)
+        voltage = session.plan.point.pmd_mv
         mix = analysis.failure_mix(label)
         mixes[voltage] = {k.value: mix[k] for k in CATEGORY_ORDER}
+        counts[voltage] = {
+            kind.value: count for kind, count in session.failure_counts().items()
+        }
         table.add_row(voltage, *(mix[k] for k in CATEGORY_ORDER))
 
     voltages: List[int] = sorted(mixes, reverse=True)
@@ -54,5 +59,9 @@ def run(
         if mixes[voltages[0]]["SDC"] > 0
         else float("inf")
     )
-    series = {"mixes_pct": mixes, "sdc_share_increase_x": sdc_ratio}
+    series = {
+        "mixes_pct": mixes,
+        "counts": counts,
+        "sdc_share_increase_x": sdc_ratio,
+    }
     return ExperimentResult(experiment_id="fig8", table=table, series=series)

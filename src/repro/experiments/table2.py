@@ -25,22 +25,22 @@ def run(
     campaign = shared_campaign(seed, time_scale, workers=workers)
     analysis = CampaignAnalysis(campaign)
     table = analysis.table2()
+    labels = campaign.labels()
+    sessions = [campaign.session(label) for label in labels]
     series = {
+        "voltages_mv": [s.plan.point.pmd_mv for s in sessions],
+        # Session 3 stops on its (scaled) failure target instead of
+        # flying a fixed duration, so its raw counts and fluence are
+        # themselves random variables.
+        "fixed_duration": [s.plan.target_failures is None for s in sessions],
+        "upsets": [s.upset_count for s in sessions],
+        "failures": [s.failure_count for s in sessions],
         "upset_rates": [
-            analysis.upset_rate(label).per_minute
-            for label in campaign.labels()
+            analysis.upset_rate(label).per_minute for label in labels
         ],
-        "failure_rates": [
-            campaign.session(label).failure_rate_per_min
-            for label in campaign.labels()
-        ],
-        "ser_fit_per_mbit": [
-            analysis.memory_ser(label) for label in campaign.labels()
-        ],
-        "fluences": [
-            campaign.session(label).fluence.fluence_per_cm2
-            for label in campaign.labels()
-        ],
+        "failure_rates": [s.failure_rate_per_min for s in sessions],
+        "ser_fit_per_mbit": [analysis.memory_ser(label) for label in labels],
+        "fluences": [s.fluence.fluence_per_cm2 for s in sessions],
     }
     notes = (
         f"sessions flown at time_scale={time_scale}; fluences and event "

@@ -24,16 +24,16 @@ payload of ``repro-campaign validate``).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.analysis import CampaignAnalysis
 from ..core.confidence import poisson_rate_interval
-from ..errors import ValidationError
+from ..errors import AnalysisError, ValidationError
 from ..injection.calibration import LevelRateModel, OutcomeMixModel
 from ..injection.events import OutcomeKind
 from ..soc.geometry import total_capacity_bits, xgene2_structures
-from ..telemetry import Telemetry
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .differential import DifferentialRunner
 from .gates import (
     GateResult,
@@ -136,22 +136,20 @@ class ConformanceReport:
 # the dict's keys match the artifact's golden oracles; count_scale is
 # the factor Poisson oracles multiply their full-length expected means
 # by (the flown time_scale for campaign counts, 1.0 for scale-invariant
-# artifacts).
+# artifacts).  Every artifact with an experiment driver is measured from
+# that driver's series -- re-keyed, selected or rescaled, never
+# re-derived -- so the gates check the numbers `repro-experiment`
+# prints.
 
 
-def _campaign_context(seed: int, time_scale: float):
-    from ..experiments.config import shared_campaign
+def _series(artifact: str, seed: int, time_scale: float) -> dict:
+    """The ``series`` of *artifact*'s experiment driver.
 
-    campaign = shared_campaign(seed, time_scale)
-    return campaign, CampaignAnalysis(campaign)
-
-
-def _session_labels(campaign, freq_mhz: int) -> List[str]:
-    return [
-        label
-        for label in campaign.labels()
-        if campaign.session(label).plan.point.freq_mhz == freq_mhz
-    ]
+    Imported on call: importing :mod:`repro.experiments` at module level
+    would load every driver on ``import repro``.
+    """
+    driver = importlib.import_module(f"..experiments.{artifact}", __package__)
+    return driver.run(seed=seed, time_scale=time_scale).series
 
 
 def _measure_table1(seed: int, time_scale: float) -> Tuple[dict, float]:
@@ -176,53 +174,40 @@ def _measure_table1(seed: int, time_scale: float) -> Tuple[dict, float]:
 
 
 def _measure_table2(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, analysis = _campaign_context(seed, time_scale)
-    labels = campaign.labels()
-    sessions = [campaign.session(label) for label in labels]
-    # session3 stops on its (scaled) failure target, so its duration --
-    # and with it fluence and raw counts -- is itself a random variable;
-    # its conformance lives in the scale-invariant rate gates, while the
-    # fixed-duration sessions (1, 2, 4) also gate raw counts.
-    fixed = [s for s in sessions if s.plan.target_failures is None]
+    series = _series("table2", seed, time_scale)
+    # Session 3's duration -- and with it its fluence and raw counts --
+    # depends on when it hits its failure target, so its conformance
+    # lives in the scale-invariant rate gates; the fixed-duration
+    # sessions (1, 2, 4) also gate raw counts.
+    fixed = series["fixed_duration"]
+
+    def pick(key: str, fixed_duration: bool = True) -> list:
+        return [
+            value
+            for value, is_fixed in zip(series[key], fixed)
+            if is_fixed == fixed_duration
+        ]
+
     measured = {
-        "voltages_mv": [s.plan.point.pmd_mv for s in sessions],
-        "upsets_fixed": [s.upset_count for s in fixed],
-        "failures_fixed": [s.failure_count for s in fixed],
-        "upset_rates": [
-            analysis.upset_rate(label).per_minute for label in labels
-        ],
-        "failure_rates": [s.failure_rate_per_min for s in sessions],
-        "failure_rate_session3": next(
-            s.failure_rate_per_min
-            for s in sessions
-            if s.plan.target_failures is not None
-        ),
-        "ser_fit_per_mbit": [
-            analysis.memory_ser(label) for label in labels
-        ],
-        "fluences_fixed": [
-            s.fluence.fluence_per_cm2 / time_scale for s in fixed
-        ],
-        "fluence_session3": next(
-            s.fluence.fluence_per_cm2 / time_scale
-            for s in sessions
-            if s.plan.target_failures is not None
-        ),
+        "voltages_mv": series["voltages_mv"],
+        "upsets_fixed": pick("upsets"),
+        "failures_fixed": pick("failures"),
+        "upset_rates": series["upset_rates"],
+        "failure_rate_session3": pick("failure_rates", False)[0],
+        "ser_fit_per_mbit": series["ser_fit_per_mbit"],
+        "fluences_fixed": [f / time_scale for f in pick("fluences")],
+        "fluence_session3": pick("fluences", False)[0] / time_scale,
     }
     return measured, time_scale
 
 
 def _measure_table3(seed: int, time_scale: float) -> Tuple[dict, float]:
-    from ..experiments import table3
-
-    series = table3.run().series
+    series = _series("table3", seed, time_scale)
     return {"points": [list(p) for p in series["points"]]}, 1.0
 
 
 def _measure_fig4(seed: int, time_scale: float) -> Tuple[dict, float]:
-    from ..experiments import fig4
-
-    series = fig4.run(seed=seed).series
+    series = _series("fig4", seed, time_scale)
     return (
         {
             "safe_vmin_mv": {
@@ -238,66 +223,41 @@ def _measure_fig4(seed: int, time_scale: float) -> Tuple[dict, float]:
 
 
 def _measure_fig5(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, analysis = _campaign_context(seed, time_scale)
-    labels = _session_labels(campaign, 2400)
-    totals = [analysis.upset_rate(label).per_minute for label in labels]
-    return {"total_rates": totals}, time_scale
+    series = _series("fig5", seed, time_scale)
+    return {"total_rates": series["rates"]["Total"]}, time_scale
 
 
-def _level_counts(session) -> Dict[str, int]:
-    # Start every Fig. 6/7 bar at zero: a session short enough to
-    # observe no events of some (level, severity) still has a count --
-    # 0 is inside any Poisson acceptance band with a small scaled mean.
-    from ..experiments.fig6 import LEVEL_ORDER
-
-    counts = {f"{level}/{severity}": 0 for level, severity in LEVEL_ORDER}
-    for (level, severity), count in session.upsets.counts.items():
-        counts[f"{level.value}/{severity.value}"] = count
-    return counts
+def _bar_counts(counts: dict) -> dict:
+    """Fig. 6/7 counts re-keyed from (level, severity) to "level/severity"."""
+    return {f"{level}/{severity}": n for (level, severity), n in counts.items()}
 
 
 def _measure_fig6(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, _ = _campaign_context(seed, time_scale)
-    labels = _session_labels(campaign, 2400)
-    per_session = [
-        _level_counts(campaign.session(label)) for label in labels
-    ]
-    measured = {
-        "counts": {
-            key: [counts[key] for counts in per_session]
-            for key in per_session[0]
-        }
-    }
-    return measured, time_scale
+    series = _series("fig6", seed, time_scale)
+    return {"counts": _bar_counts(series["counts"])}, time_scale
 
 
 def _measure_fig7(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, _ = _campaign_context(seed, time_scale)
-    label = _session_labels(campaign, 900)[0]
-    return {"counts": _level_counts(campaign.session(label))}, time_scale
+    series = _series("fig7", seed, time_scale)
+    return {"counts": _bar_counts(series["counts"])}, time_scale
 
 
 def _measure_fig8(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, _ = _campaign_context(seed, time_scale)
+    series = _series("fig8", seed, time_scale)
     mixes: Dict[str, Dict[str, List[int]]] = {}
     sdc_share_920 = 0.0
-    for label in _session_labels(campaign, 2400):
-        session = campaign.session(label)
-        counts = session.failure_counts()
+    for voltage, counts in series["counts"].items():
         total = sum(counts.values())
-        voltage = session.plan.point.pmd_mv
         mixes[str(voltage)] = {
-            kind.value: [count, total] for kind, count in counts.items()
+            kind: [count, total] for kind, count in counts.items()
         }
-        if voltage == 920 and total:
-            sdc_share_920 = counts.get(OutcomeKind.SDC, 0) / total
+        if voltage == 920:
+            sdc_share_920 = counts["SDC"] / total
     return {"mixes": mixes, "sdc_share_920": sdc_share_920}, time_scale
 
 
 def _measure_fig9(seed: int, time_scale: float) -> Tuple[dict, float]:
-    from ..experiments import fig9
-
-    series = fig9.run().series
+    series = _series("fig9", seed, time_scale)
     return (
         {
             "power_watts": series["power_watts"],
@@ -308,9 +268,7 @@ def _measure_fig9(seed: int, time_scale: float) -> Tuple[dict, float]:
 
 
 def _measure_fig10(seed: int, time_scale: float) -> Tuple[dict, float]:
-    from ..experiments import fig10
-
-    series = fig10.run().series
+    series = _series("fig10", seed, time_scale)
     return (
         {
             "power_savings_pct": series["power_savings_pct"],
@@ -324,40 +282,25 @@ def _measure_fig10(seed: int, time_scale: float) -> Tuple[dict, float]:
 
 
 def _measure_fig11(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, analysis = _campaign_context(seed, time_scale)
-    labels = _session_labels(campaign, 2400)
-    total_fit = {
-        str(campaign.session(label).plan.point.pmd_mv): analysis.total_fit(
-            label
-        ).fit
-        for label in labels
-    }
-    sdc_fit_920 = analysis.category_fit(labels[-1], OutcomeKind.SDC).fit
+    series = _series("fig11", seed, time_scale)
+    fit = series["fit"]
     return (
         {
-            "total_fit": total_fit,
-            "sdc_fit_920": sdc_fit_920,
-            "sdc_increase_x": analysis.sdc_fit_increase(
-                labels[-1], labels[0]
-            ),
-            "total_increase_x": analysis.total_fit_increase(
-                labels[-1], labels[0]
-            ),
+            "total_fit": {str(mv): row["Total"] for mv, row in fit.items()},
+            "sdc_fit_920": fit[920]["SDC"],
+            "sdc_increase_x": series["sdc_increase_x"],
+            "total_increase_x": series["total_increase_x"],
         },
         time_scale,
     )
 
 
 def _measure_fig12(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, analysis = _campaign_context(seed, time_scale)
-    split: Dict[str, Dict[str, float]] = {}
-    for label in _session_labels(campaign, 2400):
-        fits = analysis.sdc_fit_by_notification(label)
-        split[str(campaign.session(label).plan.point.pmd_mv)] = {
-            "without": fits["without_notification"].fit,
-            "with": fits["with_notification"].fit,
-        }
-    return {"sdc_fit_920_without": split["920"]["without"]}, time_scale
+    series = _series("fig12", seed, time_scale)
+    return (
+        {"sdc_fit_920_without": series["sdc_fit"][920]["without"]},
+        time_scale,
+    )
 
 
 def _measure_tech(seed: int, time_scale: float) -> Tuple[dict, float]:
@@ -408,13 +351,9 @@ def _measure_tech(seed: int, time_scale: float) -> Tuple[dict, float]:
 
 
 def _measure_fig13(seed: int, time_scale: float) -> Tuple[dict, float]:
-    campaign, analysis = _campaign_context(seed, time_scale)
-    label = _session_labels(campaign, 900)[0]
-    session = campaign.session(label)
-    sdcs = session.failures_of_kind(OutcomeKind.SDC)
-    notified = sum(1 for f in sdcs if f.hw_notified)
+    series = _series("fig13", seed, time_scale)
     return (
-        {"notified_split": [notified, max(len(sdcs), 1)]},
+        {"notified_split": [series["sdc_notified"], max(series["sdcs"], 1)]},
         time_scale,
     )
 
@@ -454,17 +393,23 @@ def run_conformance(
             f"no measurement extractor for {unknown}; "
             f"known: {sorted(MEASUREMENTS)}"
         )
+    telemetry = telemetry or NULL_TELEMETRY
     result = SuiteResult(suite="conformance")
     for artifact in selected:
-        if telemetry is not None:
+        try:
             with telemetry.span("validate.measure", artifact=artifact):
                 measured, scale = MEASUREMENTS[artifact](seed, time_scale)
+        except AnalysisError as exc:
+            # An artifact the flown campaign cannot support (say, no
+            # nominal SDC to divide by at a tiny time_scale) fails its
+            # own gate; the other artifacts still get measured.
+            gates = [
+                GateResult(gate=f"{artifact}/measure", ok=False, detail=str(exc))
+            ]
         else:
-            measured, scale = MEASUREMENTS[artifact](seed, time_scale)
-        gates = registry.check(artifact, measured, scale=scale)
+            gates = registry.check(artifact, measured, scale=scale)
         result.gates.extend(gates)
-        if telemetry is not None:
-            telemetry.count("validate.gates", n=len(gates))
+        telemetry.count("validate.gates", n=len(gates))
     return result
 
 

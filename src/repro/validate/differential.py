@@ -62,8 +62,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..engine import ExecutionContext, ParallelExecutor, SerialExecutor
 from ..errors import ValidationError
@@ -96,6 +97,9 @@ PAIRINGS = (
     "store_chaos",
     "tech_anchor",
 )
+
+#: Pairings that keep runs or stores on disk (see ``workdir``).
+ON_DISK_PAIRINGS = ("resume", "broker", "lease_resume", "store_chaos")
 
 #: Maximum leaf diffs a report keeps per pairing (enough to localize a
 #: divergence without dumping two whole campaigns).
@@ -207,9 +211,10 @@ class DifferentialRunner:
         The single configuration every pairing flies (both sides of a
         pair always share them).
     workdir:
-        Where the ``resume`` pairing keeps its journaled runs; a
-        temporary directory is created (and reused across pairings)
-        when omitted.
+        Where the on-disk pairings (``resume`` and the broker ones)
+        keep their runs and stores, one fresh subdirectory per flight,
+        left in place for inspection.  When omitted, each flight gets a
+        temporary directory that is removed when the pairing ends.
     """
 
     def __init__(
@@ -245,7 +250,11 @@ class DifferentialRunner:
             raise ValidationError(
                 f"unknown pairing {pairing!r}; choose from {self.pairings()}"
             )
-        return self._pairings[pairing]()
+        fly = self._pairings[pairing]
+        if pairing not in ON_DISK_PAIRINGS:
+            return fly()
+        with self._scratch(f"repro-diff-{pairing}-") as workdir:
+            return fly(workdir)
 
     def run_all(self, names: Optional[List[str]] = None) -> List[DiffReport]:
         """Fly the named pairings (default: all) in report order."""
@@ -253,6 +262,15 @@ class DifferentialRunner:
         return [self.run(name) for name in selected]
 
     # -- pairing implementations -------------------------------------------------
+
+    @contextmanager
+    def _scratch(self, prefix: str) -> Iterator[str]:
+        """A fresh directory for one pairing's on-disk state."""
+        if self._workdir is not None:
+            yield tempfile.mkdtemp(prefix=prefix, dir=self._workdir)
+            return
+        with tempfile.TemporaryDirectory(prefix=prefix) as path:
+            yield path
 
     def _fly(self, executor=None, telemetry=None) -> CampaignResult:
         context = ExecutionContext(
@@ -428,8 +446,7 @@ class DifferentialRunner:
             )
         return report
 
-    def _pair_resume(self) -> DiffReport:
-        workdir = self._workdir or tempfile.mkdtemp(prefix="repro-diff-")
+    def _pair_resume(self, workdir: str) -> DiffReport:
         policy = SupervisionPolicy(backoff_s=0.0)
 
         def flight(name, chaos=None, resume=False):
@@ -530,13 +547,10 @@ class DifferentialRunner:
             campaign_dict_from_entries(entries), sort_keys=True
         )
 
-    def _pair_broker(self) -> DiffReport:
+    def _pair_broker(self, workdir: str) -> DiffReport:
         from ..scheduler import Broker, DirectoryStore
 
         serial = self._fly(executor=SerialExecutor())
-        workdir = tempfile.mkdtemp(
-            prefix="repro-diff-broker-", dir=self._workdir
-        )
         store = DirectoryStore(os.path.join(workdir, "store"))
         plan = self._campaign_plan()
         broker = Broker(store=store, broker_id="diff-broker")
@@ -553,12 +567,9 @@ class DifferentialRunner:
             bytes_b=self._assembled_json(broker, plan),
         )
 
-    def _pair_lease_resume(self) -> DiffReport:
+    def _pair_lease_resume(self, base: str) -> DiffReport:
         from ..scheduler import Broker, DirectoryStore
 
-        base = tempfile.mkdtemp(
-            prefix="repro-diff-lease-", dir=self._workdir
-        )
         clock = {"now": 1_000_000.0}
 
         def now() -> float:
@@ -648,13 +659,10 @@ class DifferentialRunner:
             )
         return report
 
-    def _pair_store_chaos(self) -> DiffReport:
+    def _pair_store_chaos(self, workdir: str) -> DiffReport:
         from ..scheduler import Broker, FaultyStore, StoreChaosSpec
 
         serial = self._fly(executor=SerialExecutor())
-        workdir = tempfile.mkdtemp(
-            prefix="repro-diff-chaos-", dir=self._workdir
-        )
         # One fault of every kind, placed early so the very first
         # commit survives a torn write, a transient EIO on its link,
         # and post-commit bit rot (driving the broker's full

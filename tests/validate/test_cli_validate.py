@@ -53,6 +53,33 @@ class TestValidateCommand:
             "conformance",
         ]
 
+    def test_unmeasurable_artifact_fails_its_gate_not_the_run(
+        self, tmp_path, capsys
+    ):
+        # At this scale the nominal session flies no SDC, so Fig. 11's
+        # SDC multiplier has nothing to divide by.
+        out = str(tmp_path / "conformance.json")
+        code = main(
+            [
+                "validate",
+                "--suite",
+                "conformance",
+                "--time-scale",
+                "0.01",
+                "--out",
+                out,
+            ]
+        )
+        assert code == EXIT_GATE_FAILURES
+        assert "[FAIL] fig11/measure" in capsys.readouterr().out
+        payload = json.loads(open(out).read())
+        gates = {g["gate"]: g for g in payload["suites"][0]["gates"]}
+        assert not gates["fig11/measure"]["ok"]
+        assert "zero SDC FIT" in gates["fig11/measure"]["detail"]
+        # Every other artifact was still measured and gated.
+        assert gates["table1/total_capacity_bits"]["ok"]
+        assert any(name.startswith("fig12/") for name in gates)
+
     def test_gate_failure_exits_4_and_names_artifact(
         self, tmp_path, capsys, monkeypatch
     ):

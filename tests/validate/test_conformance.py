@@ -4,6 +4,7 @@ tolerances, and corrupting either the golden values or the injector's
 sigma(V) calibration fails with a report naming the offending artifact.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -83,6 +84,59 @@ class TestGoldenPerturbation:
         assert any(g.gate == "table2/upsets_fixed[0]" for g in failed)
         # Everything this perturbation did not touch still passes.
         assert all(g.gate.startswith("table2/upsets_fixed") for g in failed)
+
+
+def _scaled(value, factor):
+    """*value* with every number in it (not its keys) times *factor*."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value * factor
+    if isinstance(value, dict):
+        return {key: _scaled(item, factor) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_scaled(item, factor) for item in value)
+    return value
+
+
+class TestGatesSeeTheDrivers:
+    """Conformance measures every campaign-backed artifact from its
+    experiment driver's series, so a driver that misreports fails."""
+
+    @pytest.mark.parametrize(
+        "artifact, factor",
+        [
+            ("table2", 3),
+            ("fig5", 3),
+            ("fig6", 3),
+            ("fig7", 3),
+            ("fig11", 3),
+            ("fig12", 3),
+            # Figs. 8 and 13 gate shares, which a uniform scale leaves
+            # unchanged; only the narrower Wilson interval of the
+            # inflated counts shows it, and at this scale (Fig. 13 has
+            # a single SDC) that takes a hundredfold misreport.
+            ("fig8", 100),
+            ("fig13", 100),
+        ],
+    )
+    def test_misreporting_driver_fails_its_gates(
+        self, artifact, factor, monkeypatch
+    ):
+        driver = importlib.import_module(f"repro.experiments.{artifact}")
+        honest = driver.run
+
+        def misreporting(**kwargs):
+            result = honest(**kwargs)
+            result.series = _scaled(result.series, factor)
+            return result
+
+        monkeypatch.setattr(driver, "run", misreporting)
+        result = run_conformance(
+            seed=SEED, time_scale=SCALE, artifacts=[artifact]
+        )
+        assert not result.ok
+        assert all(g.gate.startswith(f"{artifact}/") for g in result.failures)
 
 
 class TestSlopePerturbation:

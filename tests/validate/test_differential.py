@@ -1,17 +1,29 @@
 """The differential harness: paired configurations that must agree."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 import repro.codecs
 from repro.codecs import list_codecs
+from repro.engine import ParallelExecutor
 from repro.errors import ValidationError
+from repro.harness.campaign import Campaign
+from repro.resilient.journal import CampaignJournal
+from repro.scheduler import Broker
 from repro.validate import (
     DifferentialRunner,
     canonical_campaign_json,
     diff_encoded,
 )
-from repro.validate.differential import MAX_FIELD_DIFFS, PAIRINGS
+from repro.validate.differential import (
+    MAX_FIELD_DIFFS,
+    ON_DISK_PAIRINGS,
+    PAIRINGS,
+)
 
 SEED = 2023
 SCALE = 0.005
@@ -108,6 +120,116 @@ class TestPairings:
     def test_invalid_time_scale_rejected(self):
         with pytest.raises(ValidationError):
             DifferentialRunner(time_scale=0.0)
+
+
+# -- one-leaf drifts on a pairing's second side ---------------------------------
+#
+# Each helper perturbs one leaf of what the second side of a byte
+# pairing produces, through that pairing's own plumbing, and returns
+# the JSON path the drift must be reported at.
+
+
+def _drift_parallel_map(monkeypatch):
+    honest = ParallelExecutor.map
+
+    def drifted(self, units, logbook=None, telemetry=None):
+        results = honest(self, units, logbook=logbook, telemetry=telemetry)
+        return [(session, bits + 1, snap) for session, bits, snap in results]
+
+    monkeypatch.setattr(ParallelExecutor, "map", drifted)
+    return "$.sram_bits"
+
+
+def _drift_second_flight(monkeypatch):
+    # Both sides fly a Campaign, the reference first.
+    honest = Campaign.run
+    flights = []
+
+    def drifted(self):
+        result = honest(self)
+        flights.append(result)
+        if len(flights) == 2:
+            result.sram_bits += 1
+        return result
+
+    monkeypatch.setattr(Campaign, "run", drifted)
+    return "$.sram_bits"
+
+
+def _drift_journal_readback(monkeypatch):
+    honest = CampaignJournal.load.__func__
+
+    def drifted(cls, path):
+        loaded = honest(cls, path)
+        entries = {
+            key: dataclasses.replace(entry, sram_bits=entry.sram_bits + 1)
+            for key, entry in loaded.entries.items()
+        }
+        return dataclasses.replace(loaded, entries=entries)
+
+    monkeypatch.setattr(CampaignJournal, "load", classmethod(drifted))
+    return "$.sram_bits"
+
+
+def _drift_commits_by(*broker_ids):
+    def _drift_commits(monkeypatch):
+        honest = Broker.complete
+
+        def drifted(self, lease, result, payload=None):
+            if payload is not None and self.broker_id in broker_ids:
+                session = dict(payload["session"])
+                session["upsets_duration_s"] += 1.0
+                payload = dict(payload, session=session)
+            return honest(self, lease, result, payload=payload)
+
+        monkeypatch.setattr(Broker, "complete", drifted)
+        return "$.sessions.session4.upsets_duration_s"
+
+    return _drift_commits
+
+
+class TestByteGatesCanFail:
+    """Every byte pairing reports a one-leaf drift on its second side
+    as a failed byte gate, and names the drifted JSON path."""
+
+    @pytest.mark.parametrize(
+        "pairing, drift",
+        [
+            ("executor", _drift_parallel_map),
+            ("telemetry", _drift_second_flight),
+            ("tech_anchor", _drift_second_flight),
+            ("resume", _drift_journal_readback),
+            ("broker", _drift_commits_by("diff-broker")),
+            ("lease_resume", _drift_commits_by("survivor")),
+            ("store_chaos", _drift_commits_by("chaos-a", "chaos-b")),
+        ],
+    )
+    def test_one_leaf_drift_fails_and_is_localized(
+        self, runner, monkeypatch, pairing, drift
+    ):
+        path = drift(monkeypatch)
+        report = runner.run(pairing)
+        gates = {gate.gate: gate for gate in report.gates}
+        assert not gates[f"differential/{pairing}"].ok
+        assert path in [d.path for d in report.field_diffs], report.render()
+
+
+class TestScratchDirectories:
+    def test_runner_without_workdir_leaves_nothing_behind(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        runner = DifferentialRunner(seed=SEED, time_scale=SCALE)
+        for pairing in ON_DISK_PAIRINGS:
+            assert runner.run(pairing).ok
+        assert os.listdir(tmp_path) == []
+
+    def test_callers_workdir_is_kept(self, tmp_path):
+        runner = DifferentialRunner(
+            seed=SEED, time_scale=SCALE, workdir=str(tmp_path)
+        )
+        assert runner.run("resume").ok
+        assert os.listdir(tmp_path)
 
 
 class TestCodecPairing:
