@@ -6,7 +6,7 @@ microarchitectural FI batches -- used to carry its own ad-hoc run loop
 and its own seed/time-scale plumbing.  This package centralizes both:
 
 * :class:`ExecutionContext` bundles the root seed, the time scale, an
-  optional campaign-wide flux override and an optional logbook sink,
+  optional campaign-wide flux override and an optional telemetry sink,
   and hands out deterministic derived seeds/streams.
 * :class:`WorkUnit` is one picklable unit of work (a top-level function
   plus arguments), labeled with a stable key.
@@ -15,6 +15,8 @@ and its own seed/time-scale plumbing.  This package centralizes both:
   merges results in submission order, so parallel output is
   bit-identical to serial output for the same seed.  If worker
   processes cannot be spawned it degrades gracefully to serial.
+* :class:`WorkerPool` is the persistent process pool behind the
+  parallel executors: warm reuse across batches and chunked dispatch.
 """
 
 from .context import ExecutionContext

@@ -13,35 +13,14 @@ triple always yields the same stream no matter which process asks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Optional, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ..errors import EngineError
 from ..rng import RngStreams
 from ..telemetry import Telemetry
-
-
-@runtime_checkable
-class Logbook(Protocol):
-    """Structural interface of a logbook sink.
-
-    The concrete :class:`repro.harness.logbook.Logbook` lives in the
-    harness layer, and importing it here would create a cycle (harness
-    imports the engine); this protocol gives type checkers the real
-    ``record`` signature without the import.
-    """
-
-    def record(
-        self,
-        time_s: float,
-        kind: str,
-        message: str,
-        benchmark: Optional[str] = None,
-    ) -> object:
-        """Append one timestamped entry."""
-        ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,21 +36,15 @@ class ExecutionContext:
     flux_per_cm2_s:
         Optional campaign-wide beam-flux override; ``None`` keeps each
         plan's own flux.
-    logbook:
-        Optional :class:`~repro.harness.logbook.Logbook` the executor
-        records dispatch/completion events into.  Excluded from
-        pickling concerns by living only on the submitting side.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink runners
-        record metrics and spans into.  Like the logbook, it lives only
-        on the submitting side; work units ship registry *snapshots*
-        back instead.
+        record metrics and spans into.  It lives only on the submitting
+        side; work units ship registry *snapshots* back instead.
     """
 
     seed: int = 2023
     time_scale: float = 1.0
     flux_per_cm2_s: Optional[float] = None
-    logbook: Optional[Logbook] = None
     telemetry: Optional[Telemetry] = None
 
     def __post_init__(self) -> None:
@@ -104,19 +77,6 @@ class ExecutionContext:
         )
         digest = hashlib.md5(repr(key).encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
-
-    def with_seed(self, seed: int) -> "ExecutionContext":
-        """A copy of this context under a different root seed."""
-        return replace(self, seed=int(seed))
-
-    def without_logbook(self) -> "ExecutionContext":
-        """A picklable copy safe to ship to worker processes.
-
-        Strips both submitting-side sinks (logbook and telemetry).
-        """
-        if self.logbook is None and self.telemetry is None:
-            return self
-        return replace(self, logbook=None, telemetry=None)
 
     def __repr__(self) -> str:
         return (

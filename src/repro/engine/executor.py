@@ -9,13 +9,12 @@ seed, and the merge never depends on scheduling.
 
 :class:`ParallelExecutor` is backed by a persistent
 :class:`~repro.engine.pool.WorkerPool`: the process pool spawns lazily
-on the first batch and stays warm across ``map()`` calls, units travel
-in deterministic chunks, and large arrays ride shared memory.  Pool
-*infrastructure* failures (no ``fork``, missing semaphores,
-unpicklable payloads, workers dying faster than the respawn budget)
-fall back to in-process serial execution; an exception raised by a
-unit function itself is re-raised to the caller -- it is the unit's
-genuine result, not a pool problem.
+on the first batch and stays warm across ``map()`` calls, and units
+travel in deterministic chunks.  Pool *infrastructure* failures (no
+``fork``, missing semaphores, unpicklable payloads, workers dying
+faster than the respawn budget) fall back to in-process serial
+execution; an exception raised by a unit function itself is re-raised
+to the caller -- it is the unit's genuine result, not a pool problem.
 """
 
 from __future__ import annotations
@@ -59,13 +58,12 @@ class WorkUnit:
 class Executor:
     """Interface: run a batch of work units, results in submission order."""
 
-    #: Human-readable executor label (used in logbooks and benches).
+    #: Human-readable executor label (used in CLI output and benches).
     name: str = "executor"
 
     def map(
         self,
         units: Sequence[WorkUnit],
-        logbook=None,
         telemetry: Optional[Telemetry] = None,
     ) -> List[Any]:
         """Run every unit; return their results in submission order.
@@ -80,10 +78,6 @@ class Executor:
     def close(self) -> None:
         """Release pooled resources, if any (no-op for in-process)."""
 
-    def _log(self, logbook, started: float, kind: str, message: str) -> None:
-        if logbook is not None:
-            logbook.record(time.monotonic() - started, kind, message)
-
 
 class SerialExecutor(Executor):
     """Runs units one after another in the calling process."""
@@ -93,23 +87,17 @@ class SerialExecutor(Executor):
     def map(
         self,
         units: Sequence[WorkUnit],
-        logbook=None,
         telemetry: Optional[Telemetry] = None,
     ) -> List[Any]:
         tele = telemetry if telemetry is not None else NULL_TELEMETRY
-        started = time.monotonic()
         results: List[Any] = []
         with tele.span("executor.map", executor=self.name, units=len(units)):
             for unit in units:
-                self._log(
-                    logbook, started, "engine", f"run {unit.key} (serial)"
-                )
                 unit_started = time.perf_counter()
                 results.append(unit.run())
                 tele.observe(
                     "engine.unit_seconds", time.perf_counter() - unit_started
                 )
-                self._log(logbook, started, "engine", f"done {unit.key}")
             # One bulk increment on success keeps counts exact even if
             # a unit raised mid-batch.
             tele.count("engine.units", len(units))
@@ -133,58 +121,30 @@ class ParallelExecutor(Executor):
     ----------
     workers:
         Maximum number of worker processes.
-    fallback:
-        When True (default), degrade to serial execution when the pool
-        *infrastructure* fails -- cannot spawn, payload unpicklable,
-        workers dying beyond the respawn budget; when False, raise
-        :class:`~repro.errors.EngineError` instead.  An exception
-        raised by a unit function is never swallowed into fallback: it
-        propagates to the caller either way.
-    chunk:
-        Units per dispatch chunk; ``None`` (default) sizes chunks
-        automatically per batch.
     warmup:
         Optional :class:`~repro.engine.pool.WarmupSpec` pre-building
         per-worker state (codec tables, injector modules) at spawn.
-    shm_min_bytes:
-        Shared-memory threshold for large arrays; ``None`` disables
-        shm transport.
     """
 
     name = "parallel"
 
     def __init__(
-        self,
-        workers: int = 2,
-        fallback: bool = True,
-        chunk: Optional[int] = None,
-        warmup: Optional[WarmupSpec] = None,
-        shm_min_bytes: Optional[int] = None,
+        self, workers: int = 2, warmup: Optional[WarmupSpec] = None
     ) -> None:
         if workers < 1:
             raise EngineError("need at least one worker")
         self.workers = int(workers)
-        self.fallback = fallback
-        pool_kwargs: Dict[str, Any] = {}
-        if shm_min_bytes is not None:
-            pool_kwargs["shm_min_bytes"] = shm_min_bytes
-        self.pool = WorkerPool(
-            workers=self.workers, warmup=warmup, chunk=chunk, **pool_kwargs
-        )
+        self.pool = WorkerPool(workers=self.workers, warmup=warmup)
 
     def map(
         self,
         units: Sequence[WorkUnit],
-        logbook=None,
         telemetry: Optional[Telemetry] = None,
     ) -> List[Any]:
         units = list(units)
         if len(units) <= 1 or self.workers == 1:
-            return SerialExecutor().map(
-                units, logbook=logbook, telemetry=telemetry
-            )
+            return SerialExecutor().map(units, telemetry=telemetry)
         tele = telemetry if telemetry is not None else NULL_TELEMETRY
-        started = time.monotonic()
         try:
             with tele.span(
                 "executor.map",
@@ -192,39 +152,17 @@ class ParallelExecutor(Executor):
                 units=len(units),
                 workers=self.workers,
             ):
-                for unit in units:
-                    self._log(
-                        logbook, started, "engine",
-                        f"dispatch {unit.key} (parallel x{self.workers})",
-                    )
-                results = self.pool.map_chunks(
-                    units,
-                    telemetry=tele,
-                    log=lambda message: self._log(
-                        logbook, started, "engine", message
-                    ),
-                )
+                results = self.pool.map_chunks(units, telemetry=tele)
                 # Counted only after every chunk resolved: a dead pool
                 # falls back to serial, which does its own count.
                 tele.count("engine.units", len(units))
                 return results
-        except PoolUnavailable as exc:
+        except PoolUnavailable:
             # Infrastructure only: no fork/spawn support, missing POSIX
             # semaphores, unpicklable payloads, respawn budget burned.
             # A unit's own exception propagates above instead.
-            if not self.fallback:
-                raise EngineError(
-                    f"parallel execution failed ({exc!r}) and fallback "
-                    f"is disabled"
-                ) from exc
-            self._log(
-                logbook, started, "engine",
-                f"process pool unavailable ({exc}); falling back to serial",
-            )
             tele.count("engine.pool_fallbacks")
-            return SerialExecutor().map(
-                units, logbook=logbook, telemetry=telemetry
-            )
+            return SerialExecutor().map(units, telemetry=telemetry)
 
     def close(self) -> None:
         """Release the worker processes (the pool respawns if reused)."""
@@ -241,16 +179,14 @@ class ParallelExecutor(Executor):
 
 
 def resolve_executor(
-    workers: Optional[int],
-    warmup: Optional[WarmupSpec] = None,
-    chunk: Optional[int] = None,
+    workers: Optional[int], warmup: Optional[WarmupSpec] = None
 ) -> Executor:
     """Map a CLI-style ``--workers`` value onto an executor.
 
     ``None``, 0 or 1 mean serial; anything greater is a parallel pool
-    of that many workers.  ``warmup``/``chunk`` configure the parallel
-    executor's persistent pool and are ignored for serial.
+    of that many workers.  ``warmup`` configures the parallel
+    executor's persistent pool and is ignored for serial.
     """
     if workers is None or workers <= 1:
         return SerialExecutor()
-    return ParallelExecutor(workers, warmup=warmup, chunk=chunk)
+    return ParallelExecutor(workers, warmup=warmup)

@@ -1,4 +1,4 @@
-"""Persistent warm worker pools with chunked dispatch and shm transport.
+"""Persistent warm worker pools with chunked dispatch.
 
 Spawning a :class:`~concurrent.futures.ProcessPoolExecutor` costs on
 the order of 100 ms, and every cold worker re-imports repro and
@@ -18,10 +18,6 @@ the pool a long-lived resource instead:
   Results are merged strictly in submission order, so chunking changes
   *when* work runs, never *what* the caller sees -- serial == parallel
   byte-identity is untouched for every chunk size;
-* **shared-memory transport** -- large contiguous numpy arrays inside
-  a chunk payload or result travel through
-  :mod:`multiprocessing.shared_memory` views instead of pickle copies,
-  with a transparent pickle fallback when shared memory is unavailable;
 * **lifecycle** -- health-checked reuse, explicit :meth:`~WorkerPool.
   close`, and chaos-compatible kill/respawn: a worker killed mid-chunk
   breaks the pool, the pool respawns (bounded budget) and re-dispatches
@@ -35,9 +31,9 @@ budget) raise :class:`~repro.errors.PoolUnavailable`, which is what
 executors translate into their fallback/degradation policies.
 
 Telemetry rides in the ``engine.pool.*`` namespace (spawns, reuses,
-respawns, chunk pickle bytes/seconds, shm bytes, warm-cache hits),
-which the determinism comparisons already exclude: pool bookkeeping
-depends on scheduling, the physics does not.
+respawns, chunk pickle bytes/seconds, warm-cache hits), which the
+determinism comparisons already exclude: pool bookkeeping depends on
+scheduling, the physics does not.
 """
 
 from __future__ import annotations
@@ -51,10 +47,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PoolUnavailable
 from ..telemetry import NULL_TELEMETRY, Telemetry
-
-#: Arrays at or above this many bytes ride in shared memory (when the
-#: platform provides it); smaller ones are cheaper to pickle inline.
-DEFAULT_SHM_MIN_BYTES = 64 * 1024
 
 #: How many chunks a pool breakage may force back out before the pool
 #: declares itself unavailable.
@@ -126,161 +118,11 @@ def _initialize_worker(spec: WarmupSpec) -> None:
     _WORKER_STATE["warmed"] = True
 
 
-# -- shared-memory transport --------------------------------------------------------
-
-#: Flipped to True after the first shm failure so one broken platform
-#: does not pay a failed syscall per array (tests also force it).
-_SHM_BROKEN = False
-
-
-@dataclass(frozen=True)
-class _ShmRef:
-    """Pickled stand-in for an ndarray parked in a shm segment."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
+# -- the chunk protocol -------------------------------------------------------------
 
 
 class _ChunkTransportError(Exception):
     """Worker-side encode/decode failure: infrastructure, not a unit."""
-
-
-def _shm_module():
-    from multiprocessing import shared_memory
-
-    return shared_memory
-
-
-def _untrack(shm) -> None:
-    """Drop the creator's resource-tracker registration for *shm*.
-
-    Ownership of a transport segment passes to the receiver: its
-    attach registers with its own tracker and its unlink unregisters.
-    Without this, the creator's tracker would warn at exit about --
-    and try to re-unlink -- segments consumed long ago (CPython < 3.13
-    registers on create and cannot be told the hand-off happened).
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(
-            getattr(shm, "_name", shm.name), "shared_memory"
-        )
-    except Exception:  # pragma: no cover - tracker absent or exotic
-        pass
-
-
-def _extract_arrays(obj, min_bytes: int, created: List[str]):
-    """Rewrite builtin containers, parking big ndarrays in shm.
-
-    Walks tuples/lists/dicts only -- arrays buried inside arbitrary
-    objects pickle normally, which is always correct, just slower.
-    Returns the rewritten tree; segment names created along the way are
-    appended to *created* (the caller owns unlink-on-error).
-    """
-    global _SHM_BROKEN
-    import numpy as np
-
-    if isinstance(obj, np.ndarray) and obj.nbytes >= min_bytes:
-        if _SHM_BROKEN:
-            return obj
-        array = np.ascontiguousarray(obj)
-        try:
-            shm = _shm_module().SharedMemory(create=True, size=array.nbytes)
-        except (ImportError, OSError, ValueError):
-            _SHM_BROKEN = True
-            return obj
-        try:
-            view = np.ndarray(
-                array.shape, dtype=array.dtype, buffer=shm.buf
-            )
-            view[...] = array
-            created.append(shm.name)
-            _untrack(shm)
-            return _ShmRef(
-                name=shm.name,
-                shape=tuple(array.shape),
-                dtype=array.dtype.str,
-            )
-        finally:
-            shm.close()
-    if isinstance(obj, tuple):
-        return tuple(
-            _extract_arrays(item, min_bytes, created) for item in obj
-        )
-    if isinstance(obj, list):
-        return [_extract_arrays(item, min_bytes, created) for item in obj]
-    if isinstance(obj, dict):
-        return {
-            key: _extract_arrays(value, min_bytes, created)
-            for key, value in obj.items()
-        }
-    return obj
-
-
-def _restore_arrays(obj):
-    """Inverse of :func:`_extract_arrays`: attach, copy out, unlink.
-
-    The receiver owns the segment's lifetime: once the array is copied
-    into this process the segment is unlinked, so a consumed payload
-    cannot be decoded twice (senders re-encode on re-dispatch).
-    """
-    import numpy as np
-
-    if isinstance(obj, _ShmRef):
-        shm = _shm_module().SharedMemory(name=obj.name)
-        try:
-            view = np.ndarray(
-                obj.shape, dtype=np.dtype(obj.dtype), buffer=shm.buf
-            )
-            return view.copy()
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - racing cleanup
-                pass
-    if isinstance(obj, tuple):
-        return tuple(_restore_arrays(item) for item in obj)
-    if isinstance(obj, list):
-        return [_restore_arrays(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: _restore_arrays(value) for key, value in obj.items()}
-    return obj
-
-
-def _unlink_segments(names: Sequence[str]) -> None:
-    """Best-effort unlink of sender-created segments (error paths)."""
-    for name in names:
-        try:
-            shm = _shm_module().SharedMemory(name=name)
-        except (FileNotFoundError, ImportError, OSError):
-            continue  # already consumed by the receiver
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing cleanup
-            pass
-
-
-def _encode(obj, min_bytes: Optional[int]) -> Tuple[bytes, List[str]]:
-    """Pickle *obj*, parking large arrays in shm when enabled."""
-    created: List[str] = []
-    if min_bytes is not None:
-        obj = _extract_arrays(obj, min_bytes, created)
-    try:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), created
-    except Exception:
-        _unlink_segments(created)
-        raise
-
-
-def _decode(data: bytes):
-    return _restore_arrays(pickle.loads(data))
-
-
-# -- the chunk protocol -------------------------------------------------------------
 
 
 def _run_chunk(payload: bytes) -> Tuple[bytes, dict]:
@@ -288,12 +130,12 @@ def _run_chunk(payload: bytes) -> Tuple[bytes, dict]:
 
     Unit exceptions are *outcomes*, shipped back per-unit, so the
     parent can re-raise the genuine error in submission order.  Only
-    transport trouble (an unpicklable result, a torn shm segment)
-    raises -- as :class:`_ChunkTransportError`, which the parent treats
-    as pool infrastructure failing, exactly like a broken pool.
+    transport trouble (an unpicklable result) raises -- as
+    :class:`_ChunkTransportError`, which the parent treats as pool
+    infrastructure failing, exactly like a broken pool.
     """
     try:
-        chunk = _decode(payload)
+        calls = pickle.loads(payload)
     except Exception as exc:
         raise _ChunkTransportError(
             f"chunk payload decode failed: {exc!r}"
@@ -302,7 +144,7 @@ def _run_chunk(payload: bytes) -> Tuple[bytes, dict]:
     _WORKER_STATE["chunks"] += 1
     outcomes: List[Tuple[bool, Any]] = []
     durations: List[float] = []
-    for fn, args, kwargs in chunk["calls"]:
+    for fn, args, kwargs in calls:
         unit_started = time.perf_counter()
         try:
             outcomes.append((True, fn(*args, **kwargs)))
@@ -311,7 +153,7 @@ def _run_chunk(payload: bytes) -> Tuple[bytes, dict]:
         durations.append(time.perf_counter() - unit_started)
     encode_started = time.perf_counter()
     try:
-        data, _ = _encode(outcomes, chunk["shm_min_bytes"])
+        data = pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise _ChunkTransportError(
             f"chunk result encode failed: {exc!r}"
@@ -349,9 +191,6 @@ class WorkerPool:
     chunk:
         Fixed chunk size for :meth:`map_chunks`; ``None`` picks
         :func:`auto_chunk` per batch.
-    shm_min_bytes:
-        Shared-memory threshold; ``None`` disables shm transport
-        entirely (everything pickles inline).
     max_respawns:
         Pool breakages tolerated per :meth:`map_chunks` call before
         raising :class:`~repro.errors.PoolUnavailable`.
@@ -362,7 +201,6 @@ class WorkerPool:
         workers: int,
         warmup: Optional[WarmupSpec] = None,
         chunk: Optional[int] = None,
-        shm_min_bytes: Optional[int] = DEFAULT_SHM_MIN_BYTES,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
     ) -> None:
         if workers < 1:
@@ -372,7 +210,6 @@ class WorkerPool:
         self.workers = int(workers)
         self.warmup = warmup or WarmupSpec()
         self.chunk = chunk
-        self.shm_min_bytes = shm_min_bytes
         self.max_respawns = int(max_respawns)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._broken = False
@@ -470,7 +307,6 @@ class WorkerPool:
         self,
         units: Sequence,
         telemetry: Optional[Telemetry] = None,
-        log=None,
     ) -> List[Any]:
         """Run :class:`~repro.engine.WorkUnit`-shaped units; results in
         submission order.
@@ -497,18 +333,13 @@ class WorkerPool:
                 ) from exc
             pending = [i for i, done in enumerate(outcomes) if done is None]
             futures: Dict[int, Any] = {}
-            segments: Dict[int, List[str]] = {}
             try:
                 for index in pending:
-                    payload, names = self._encode_chunk(chunks[index], tele)
-                    segments[index] = names
+                    payload = self._encode_chunk(chunks[index], tele)
                     futures[index] = pool.submit(_run_chunk, payload)
             except (pickle.PicklingError, TypeError, AttributeError) as exc:
                 # The payload itself cannot travel (lambdas, open
                 # handles): deterministic, no point respawning.
-                for names in segments.values():
-                    _unlink_segments(names)
-                self._drain_quietly(futures.values())
                 raise PoolUnavailable(
                     f"chunk payload not picklable: {exc!r}"
                 ) from exc
@@ -516,8 +347,6 @@ class WorkerPool:
                 # RuntimeError: submit on a pool shut down under us --
                 # same remedy as a breakage, respawn within budget.
                 self.mark_broken()
-                for names in segments.values():
-                    _unlink_segments(names)
                 respawns_left = self._budget(respawns_left)
                 continue
             try:
@@ -528,9 +357,6 @@ class WorkerPool:
                     self._observe_chunk(meta, tele)
             except BrokenProcessPool:
                 self.mark_broken()
-                for index in pending:
-                    if outcomes[index] is None:
-                        _unlink_segments(segments[index])
                 respawns_left = self._budget(respawns_left)
                 continue
             except Exception as exc:
@@ -538,13 +364,10 @@ class WorkerPool:
                 # raised at this layer -- a transport error shipped by
                 # the worker, an import dying in the result path -- is
                 # infrastructure.  Deterministic: do not respawn.
-                self._drain_quietly(
-                    futures[i] for i in pending if outcomes[i] is None
-                )
                 raise PoolUnavailable(
                     f"chunk transport failed: {exc}"
                 ) from exc
-        return self._merge(units, outcomes, metas, tele, log)
+        return self._merge(outcomes, metas, tele)
 
     def _budget(self, respawns_left: int) -> int:
         if respawns_left <= 0:
@@ -555,16 +378,12 @@ class WorkerPool:
             )
         return respawns_left - 1
 
-    def _encode_chunk(self, chunk, tele: Telemetry) -> Tuple[bytes, List[str]]:
+    @staticmethod
+    def _encode_chunk(chunk, tele: Telemetry) -> bytes:
         encode_started = time.perf_counter()
-        payload, names = _encode(
-            {
-                "calls": [
-                    (unit.fn, unit.args, unit.kwargs) for unit in chunk
-                ],
-                "shm_min_bytes": self.shm_min_bytes,
-            },
-            self.shm_min_bytes,
+        payload = pickle.dumps(
+            [(unit.fn, unit.args, unit.kwargs) for unit in chunk],
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
         tele.observe(
             "engine.pool.pickle_seconds",
@@ -572,14 +391,12 @@ class WorkerPool:
         )
         tele.count("engine.pool.pickle_bytes", n=len(payload))
         tele.count("engine.pool.chunks")
-        if names:
-            tele.count("engine.pool.shm_segments", n=len(names))
-        return payload, names
+        return payload
 
     @staticmethod
     def _decode_result(data: bytes) -> List[Tuple[bool, Any]]:
         try:
-            return _decode(data)
+            return pickle.loads(data)
         except Exception as exc:
             raise _ChunkTransportError(
                 f"chunk result decode failed: {exc!r}"
@@ -595,17 +412,7 @@ class WorkerPool:
         tele.observe("engine.pool.pickle_seconds", meta["encode_seconds"])
 
     @staticmethod
-    def _drain_quietly(futures) -> None:
-        """Consume leftover futures so their shm results are reclaimed."""
-        for future in futures:
-            try:
-                data, _ = future.result()
-                _decode(data)
-            except Exception:
-                pass
-
-    @staticmethod
-    def _merge(units, outcomes, metas, tele: Telemetry, log) -> List[Any]:
+    def _merge(outcomes, metas, tele: Telemetry) -> List[Any]:
         """Flatten chunk outcomes back into submission order.
 
         Per-unit ``engine.unit_seconds`` observations use the worker's
@@ -616,19 +423,14 @@ class WorkerPool:
         left in flight and the pool stays healthy for the next batch.
         """
         results: List[Any] = []
-        index = 0
         for chunk_outcomes, meta in zip(outcomes, metas):
             for (ok, value), duration in zip(
                 chunk_outcomes, meta["unit_seconds"]
             ):
-                unit = units[index]
-                index += 1
                 if not ok:
                     raise value
                 tele.observe("engine.unit_seconds", duration)
                 results.append(value)
-                if log is not None:
-                    log(f"done {unit.key}")
         return results
 
     def __repr__(self) -> str:

@@ -7,7 +7,7 @@ import inspect
 import sys
 from typing import Callable, Dict, Optional
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..telemetry import Telemetry, console_summary
 from . import (
     ablations,
@@ -87,7 +87,13 @@ def run_experiment(
 
 
 def main(argv=None) -> int:
-    """CLI: ``repro-experiment fig11 [--seed N] [--time-scale X] [--csv]``."""
+    """CLI: ``repro-experiment fig11 [--seed N] [--time-scale X] [--csv]``.
+
+    An artifact whose driver cannot measure (a library error, e.g. a
+    session that observed no failures at a tiny time scale) prints one
+    ``error: <id>: <message>`` line to stderr; the remaining artifacts
+    still run, and the exit code is 1 if any failed.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
         description="Regenerate a table or figure of the MICRO'23 paper.",
@@ -122,21 +128,27 @@ def main(argv=None) -> int:
 
     telemetry = Telemetry() if args.telemetry else None
     ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    failed = 0
     for experiment_id in ids:
-        result = run_experiment(
-            experiment_id,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            workers=args.workers,
-            telemetry=telemetry,
-        )
+        try:
+            result = run_experiment(
+                experiment_id,
+                seed=args.seed,
+                time_scale=args.time_scale,
+                workers=args.workers,
+                telemetry=telemetry,
+            )
+        except ReproError as exc:
+            print(f"error: {experiment_id}: {exc}", file=sys.stderr)
+            failed += 1
+            continue
         print(result.table.to_csv() if args.csv else result.render())
         print()
     if telemetry is not None:
         print(console_summary(metrics=telemetry.metrics))
         print()
         print(telemetry.tracer.render())
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI

@@ -130,7 +130,7 @@ class Campaign:
     context:
         Full :class:`~repro.engine.ExecutionContext`; supersedes the
         loose *seed*/*time_scale* pair and can carry a campaign-wide
-        flux override plus a logbook sink for engine events.
+        flux override plus a telemetry sink.
     vectorized:
         Select the injector realization path (see
         :class:`~repro.injection.injector.BeamInjector`).
@@ -260,9 +260,7 @@ class Campaign:
         result = CampaignResult()
         with telemetry.span("campaign.run", sessions=len(plan.units)):
             outcomes = broker.drain(
-                self.executor,
-                logbook=self.context.logbook,
-                telemetry=self.context.telemetry,
+                self.executor, telemetry=self.context.telemetry
             )
             for planned in plan.units:
                 session_result, sram_bits, snapshot = outcomes[

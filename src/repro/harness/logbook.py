@@ -13,9 +13,8 @@ from typing import FrozenSet, Iterator, List, Optional
 
 from ..errors import LogbookError
 
-#: The closed set of entry categories.  "engine" is the execution
-#: layer's dispatch/completion channel; everything else mirrors the
-#: serial-console vocabulary of the paper's session captures.
+#: The closed set of entry categories; they mirror the serial-console
+#: vocabulary of the paper's session captures.
 VALID_KINDS: FrozenSet[str] = frozenset(
     {
         "run",
@@ -26,7 +25,6 @@ VALID_KINDS: FrozenSet[str] = frozenset(
         "reset",
         "powercycle",
         "note",
-        "engine",
     }
 )
 
@@ -41,8 +39,7 @@ class LogEntry:
         Seconds since session start.
     kind:
         Entry category; one of :data:`VALID_KINDS` ("run", "ok",
-        "sdc", "appcrash", "syscrash", "reset", "powercycle", "note",
-        "engine").
+        "sdc", "appcrash", "syscrash", "reset", "powercycle", "note").
     message:
         Free-form detail.
     benchmark:

@@ -300,9 +300,7 @@ class MicroarchInjector:
             )
             for name in names
         ]
-        results = executor.map(
-            units, logbook=context.logbook, telemetry=telemetry
-        )
+        results = executor.map(units, telemetry=telemetry)
         if telemetry is not None:
             # Counted from the merged results on the submitting side,
             # so executor choice cannot change the totals.

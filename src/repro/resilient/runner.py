@@ -299,7 +299,6 @@ class ResilientCampaign:
             ):
                 broker.drain(
                     self.executor,
-                    logbook=self.context.logbook,
                     telemetry=self.context.telemetry,
                     on_result=_checkpoint,
                 )

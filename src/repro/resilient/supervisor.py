@@ -196,7 +196,6 @@ class SupervisedExecutor(Executor):
     def map(
         self,
         units: Sequence[WorkUnit],
-        logbook=None,
         telemetry: Optional[Telemetry] = None,
         on_result: Optional[Callable[[int, UnitReport, Any], None]] = None,
     ) -> List[Any]:
@@ -207,7 +206,6 @@ class SupervisedExecutor(Executor):
         """
         units = list(units)
         tele = telemetry if telemetry is not None else NULL_TELEMETRY
-        started = time.monotonic()
         with tele.span(
             "supervisor.map",
             executor=self.name,
@@ -215,13 +213,9 @@ class SupervisedExecutor(Executor):
             workers=self.workers,
         ):
             if self.workers > 1 and len(units) > 1:
-                results, reports = self._map_parallel(
-                    units, tele, logbook, started, on_result
-                )
+                results, reports = self._map_parallel(units, tele, on_result)
             else:
-                results, reports = self._map_serial(
-                    units, tele, logbook, started, on_result
-                )
+                results, reports = self._map_serial(units, tele, on_result)
         self.last_reports = reports
         tele.count("engine.units", sum(1 for r in reports if r.ok))
         return results
@@ -253,8 +247,6 @@ class SupervisedExecutor(Executor):
         state: _UnitState,
         exc: BaseException,
         tele: Telemetry,
-        logbook,
-        started: float,
     ) -> Optional[UnitReport]:
         """Triage one failed attempt.
 
@@ -262,7 +254,6 @@ class SupervisedExecutor(Executor):
         budget, or ``None`` when the supervisor should retry.
         """
         failure_class = classify_failure(exc)
-        attempts = state.attempt + 1
         tele.count("resilient.failures", unit_class=failure_class.value)
         if isinstance(exc, UnitTimeoutError):
             state.timeouts += 1
@@ -273,15 +264,10 @@ class SupervisedExecutor(Executor):
         )
         if not retry:
             tele.count("resilient.quarantined", unit_class=failure_class.value)
-            self._log(
-                logbook, started, "engine",
-                f"quarantine {state.unit.key} after {attempts} attempt(s): "
-                f"{failure_class.value} ({exc.__class__.__name__})",
-            )
             return UnitReport(
                 key=state.unit.key,
                 status="quarantined",
-                attempts=attempts,
+                attempts=state.attempt + 1,
                 retries=state.retries,
                 timeouts=state.timeouts,
                 failure_class=failure_class,
@@ -290,13 +276,7 @@ class SupervisedExecutor(Executor):
         state.retries += 1
         state.attempt += 1
         tele.count("resilient.retries", unit_class=failure_class.value)
-        delay = self.policy.backoff_delay(state.retries)
-        self._log(
-            logbook, started, "engine",
-            f"retry {state.unit.key} (attempt {state.attempt + 1}, "
-            f"{failure_class.value}, backoff {delay:.3f}s)",
-        )
-        self._sleep(delay)
+        self._sleep(self.policy.backoff_delay(state.retries))
         return None
 
     # -- serial path -------------------------------------------------------------
@@ -311,29 +291,19 @@ class SupervisedExecutor(Executor):
         self,
         units: Sequence[WorkUnit],
         tele: Telemetry,
-        logbook,
-        started: float,
         on_result,
     ):
         results: List[Any] = []
         reports: List[UnitReport] = []
         for index, unit in enumerate(units):
-            result, report = self._supervise_one(
-                _UnitState(unit=unit), tele, logbook, started
-            )
+            result, report = self._supervise_one(_UnitState(unit=unit), tele)
             results.append(result)
             reports.append(report)
             if on_result is not None:
                 on_result(index, report, result)
         return results, reports
 
-    def _supervise_one(
-        self,
-        state: _UnitState,
-        tele: Telemetry,
-        logbook,
-        started: float,
-    ):
+    def _supervise_one(self, state: _UnitState, tele: Telemetry):
         """Run one unit to completion in-process, honoring *state*.
 
         Takes an existing :class:`_UnitState` (not just a unit) so the
@@ -342,9 +312,6 @@ class SupervisedExecutor(Executor):
         chaos faults keep firing at the right attempt numbers.
         """
         unit = state.unit
-        self._log(
-            logbook, started, "engine", f"run {unit.key} (supervised)"
-        )
         while True:
             attempt_started = time.perf_counter()
             try:
@@ -352,9 +319,7 @@ class SupervisedExecutor(Executor):
             except CampaignInterrupted:
                 raise
             except Exception as exc:
-                report = self._on_failure(
-                    state, exc, tele, logbook, started
-                )
+                report = self._on_failure(state, exc, tele)
                 if report is None:
                     continue
                 result = UnitFailure(
@@ -375,7 +340,6 @@ class SupervisedExecutor(Executor):
                     retries=state.retries,
                     timeouts=state.timeouts,
                 )
-                self._log(logbook, started, "engine", f"done {unit.key}")
             state.done = True
             return result, report
 
@@ -385,8 +349,6 @@ class SupervisedExecutor(Executor):
         self,
         units: Sequence[WorkUnit],
         tele: Telemetry,
-        logbook,
-        started: float,
         on_result,
     ):
         states = [_UnitState(unit=unit) for unit in units]
@@ -415,23 +377,11 @@ class SupervisedExecutor(Executor):
             try:
                 pool.ensure(tele)
                 for state in states:
-                    self._log(
-                        logbook, started, "engine",
-                        f"dispatch {state.unit.key} "
-                        f"(supervised x{self.workers})",
-                    )
                     _submit(state)
-            except (OSError, ValueError, RuntimeError, ImportError) as exc:
+            except (OSError, ValueError, RuntimeError, ImportError):
                 # No process support at all: degrade immediately.
-                self._log(
-                    logbook, started, "engine",
-                    f"process pool unavailable "
-                    f"({exc.__class__.__name__}); degrading to serial",
-                )
                 tele.count("resilient.degraded")
-                return self._map_serial(
-                    units, tele, logbook, started, on_result
-                )
+                return self._map_serial(units, tele, on_result)
 
             for index, state in enumerate(states):
                 while not state.done:
@@ -440,7 +390,7 @@ class SupervisedExecutor(Executor):
                         # attempt/retry/timeout budget already burned in
                         # the pool carries over instead of resetting.
                         results[index], reports[index] = self._supervise_one(
-                            state, tele, logbook, started
+                            state, tele
                         )
                         break
                     dispatch_started = time.perf_counter()
@@ -460,26 +410,20 @@ class SupervisedExecutor(Executor):
                         if exceeded:
                             degraded = True
                             tele.count("resilient.degraded")
-                            self._log(
-                                logbook, started, "engine",
-                                "workers keep dying; degrading to serial",
-                            )
                         else:
                             pool.ensure(tele)
                         timeout_exc = UnitTimeoutError(
                             f"unit {state.unit.key!r} exceeded the "
                             f"{self.policy.timeout_s:.3f}s response timeout"
                         )
-                        report = self._on_failure(
-                            state, timeout_exc, tele, logbook, started
-                        )
+                        report = self._on_failure(state, timeout_exc, tele)
                         if report is not None:
                             self._finish_failed(state, report, results,
                                                 reports, index)
                         if not degraded:
                             _resubmit_pending()
                         continue
-                    except BrokenProcessPool as exc:
+                    except BrokenProcessPool:
                         # The pool died; the unit whose future we were
                         # waiting on is not necessarily the culprit, so
                         # breakages are budgeted separately
@@ -491,27 +435,14 @@ class SupervisedExecutor(Executor):
                         if breakages > self.policy.max_pool_breakages:
                             degraded = True
                             tele.count("resilient.degraded")
-                            self._log(
-                                logbook, started, "engine",
-                                "workers keep dying; degrading to serial",
-                            )
                             continue
-                        self._log(
-                            logbook, started, "engine",
-                            f"worker died ({exc.__class__.__name__}); "
-                            f"restarting pool "
-                            f"(breakage {breakages}/"
-                            f"{self.policy.max_pool_breakages})",
-                        )
                         pool.ensure(tele)
                         _resubmit_pending()
                         continue
                     except CampaignInterrupted:
                         raise
                     except Exception as exc:
-                        report = self._on_failure(
-                            state, exc, tele, logbook, started
-                        )
+                        report = self._on_failure(state, exc, tele)
                         if report is None:
                             _submit(state)
                         else:
@@ -532,9 +463,6 @@ class SupervisedExecutor(Executor):
                         timeouts=state.timeouts,
                     )
                     state.done = True
-                    self._log(
-                        logbook, started, "engine", f"done {state.unit.key}"
-                    )
                 if on_result is not None:
                     on_result(index, reports[index], results[index])
         except BaseException:

@@ -745,13 +745,7 @@ class Broker:
     # -- in-process drain (the Campaign.run shim's engine room) ------------------
 
     def drain(
-        self,
-        executor,
-        worker: str = "in-process",
-        logbook=None,
-        telemetry=None,
-        on_result: Optional[Callable] = None,
-        batch: Optional[int] = None,
+        self, executor, telemetry=None, on_result: Optional[Callable] = None
     ) -> Dict[str, Any]:
         """Lease-and-run everything pending through one executor.
 
@@ -772,7 +766,7 @@ class Broker:
         """
         results: Dict[str, Any] = {}
         while True:
-            leases = self.lease(worker, limit=batch)
+            leases = self.lease("in-process", limit=None)
             if not leases:
                 break
             units = [lease.unit for lease in leases]
@@ -789,16 +783,9 @@ class Broker:
                         )
                     on_result(index, lease, report, result)
 
-                executor.map(
-                    units,
-                    logbook=logbook,
-                    telemetry=telemetry,
-                    on_result=_settle,
-                )
+                executor.map(units, telemetry=telemetry, on_result=_settle)
             else:
-                mapped = executor.map(
-                    units, logbook=logbook, telemetry=telemetry
-                )
+                mapped = executor.map(units, telemetry=telemetry)
                 for lease, result in zip(leases, mapped):
                     results[lease.unit_id] = result
                     self.complete(lease, result)

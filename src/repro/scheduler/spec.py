@@ -131,7 +131,7 @@ class CampaignSpec:
 
     # -- campaign construction ---------------------------------------------------
 
-    def campaign(self, executor=None, telemetry=None, logbook=None):
+    def campaign(self):
         """The :class:`~repro.harness.campaign.Campaign` this spec describes."""
         from ..engine import ExecutionContext
         from ..harness.campaign import Campaign
@@ -140,12 +140,9 @@ class CampaignSpec:
             seed=self.seed,
             time_scale=self.time_scale,
             flux_per_cm2_s=self.flux_per_cm2_s,
-            telemetry=telemetry,
-            logbook=logbook,
         )
         return Campaign(
             context=context,
-            executor=executor,
             vectorized=self.vectorized,
             tech_node=self.tech_node,
         )

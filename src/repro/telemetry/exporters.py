@@ -202,11 +202,6 @@ def _pool_section(registry: MetricsRegistry) -> str:
     pickle_bytes = values.get("engine.pool.pickle_bytes", 0)
     if pickle_bytes:
         lines.append(f"  transport     {pickle_bytes} pickled byte(s)")
-    segments = values.get("engine.pool.shm_segments", 0)
-    if segments:
-        lines.append(
-            f"                {segments} shared-memory segment(s)"
-        )
     if len(lines) == 1:
         return ""
     return "\n".join(lines)

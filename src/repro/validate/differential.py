@@ -256,11 +256,6 @@ class DifferentialRunner:
         with self._scratch(f"repro-diff-{pairing}-") as workdir:
             return fly(workdir)
 
-    def run_all(self, names: Optional[List[str]] = None) -> List[DiffReport]:
-        """Fly the named pairings (default: all) in report order."""
-        selected = names if names is not None else self.pairings()
-        return [self.run(name) for name in selected]
-
     # -- pairing implementations -------------------------------------------------
 
     @contextmanager

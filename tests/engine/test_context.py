@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine import ExecutionContext
 from repro.errors import EngineError
-from repro.harness.logbook import Logbook
 
 
 class TestValidation:
@@ -15,7 +14,7 @@ class TestValidation:
         assert ctx.seed == 2023
         assert ctx.time_scale == 1.0
         assert ctx.flux_per_cm2_s is None
-        assert ctx.logbook is None
+        assert ctx.telemetry is None
 
     def test_seed_coerced_to_int(self):
         assert ExecutionContext(seed=7.0).seed == 7
@@ -50,7 +49,7 @@ class TestDerivation:
             ctx.derive_seed("fi", structure="rob"),
             ctx.derive_seed("fi", structure="lsq"),
             ctx.derive_seed("vmin", structure="rob"),
-            ctx.with_seed(43).derive_seed("fi", structure="rob"),
+            ExecutionContext(seed=43).derive_seed("fi", structure="rob"),
         }
         assert len(seeds) == 4
 
@@ -60,24 +59,8 @@ class TestDerivation:
 
 
 class TestCopies:
-    def test_with_seed(self):
-        ctx = ExecutionContext(seed=1, time_scale=0.5)
-        other = ctx.with_seed(9)
-        assert other.seed == 9
-        assert other.time_scale == 0.5
-        assert ctx.seed == 1
-
-    def test_without_logbook_strips_sink(self):
-        ctx = ExecutionContext(logbook=Logbook())
-        stripped = ctx.without_logbook()
-        assert stripped.logbook is None
-
-    def test_without_logbook_is_identity_when_clean(self):
-        ctx = ExecutionContext()
-        assert ctx.without_logbook() is ctx
-
-    def test_pickles_without_logbook(self):
+    def test_pickles(self):
         ctx = ExecutionContext(seed=5, time_scale=0.2, flux_per_cm2_s=1e6)
-        clone = pickle.loads(pickle.dumps(ctx.without_logbook()))
+        clone = pickle.loads(pickle.dumps(ctx))
         assert clone.seed == 5
         assert clone.derive_seed("x") == ctx.derive_seed("x")

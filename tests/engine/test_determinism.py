@@ -11,7 +11,6 @@ import pytest
 from repro import Campaign, ExecutionContext, ParallelExecutor, SerialExecutor
 from repro.core.ensemble import run_ensemble
 from repro.engine import ParallelExecutor as EngineParallel
-from repro.harness.logbook import Logbook
 from repro.harness.vmin import characterize_all
 from repro.injection.microarch import MicroarchInjector
 from repro.validate import canonical_campaign_json as _canonical
@@ -47,12 +46,6 @@ class TestCampaignDeterminism:
     def test_context_equivalent_to_loose_args(self, serial_bytes):
         ctx = ExecutionContext(seed=99, time_scale=SCALE)
         assert _canonical(Campaign(context=ctx).run()) == serial_bytes
-
-    def test_parallel_logbook_records_dispatches(self):
-        logbook = Logbook()
-        ctx = ExecutionContext(seed=99, time_scale=SCALE, logbook=logbook)
-        Campaign(context=ctx, executor=ParallelExecutor(2)).run()
-        assert logbook.count("engine") >= 8  # dispatch + done per session
 
 
 class TestOtherRunnersDeterminism:

@@ -1,4 +1,4 @@
-"""Executors: ordering, fallback, logging, resolution."""
+"""Executors: ordering, fallback, resolution."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.engine import (
     resolve_executor,
 )
 from repro.errors import EngineError
-from repro.harness.logbook import Logbook
 
 
 def _square(x):
@@ -43,12 +42,6 @@ class TestSerialExecutor:
     def test_empty_batch(self):
         assert SerialExecutor().map([]) == []
 
-    def test_logbook_records_engine_events(self):
-        logbook = Logbook()
-        SerialExecutor().map(_units([1]), logbook=logbook)
-        kinds = {entry.kind for entry in logbook}
-        assert "engine" in kinds
-
 
 class TestParallelExecutor:
     def test_rejects_zero_workers(self):
@@ -71,14 +64,6 @@ class TestParallelExecutor:
             WorkUnit(key="sq", fn=_square, args=(4,)),
         ]
         assert ParallelExecutor(2).map(units) == [11, 16]
-
-    def test_fallback_disabled_raises(self):
-        units = [
-            WorkUnit(key="lam", fn=lambda: 11),
-            WorkUnit(key="sq", fn=_square, args=(4,)),
-        ]
-        with pytest.raises(EngineError):
-            ParallelExecutor(2, fallback=False).map(units)
 
     def test_worker_exception_reraised_without_fallback(self):
         # Unit exceptions ship back inside chunk outcomes and re-raise

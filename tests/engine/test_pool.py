@@ -1,4 +1,4 @@
-"""WorkerPool: warm reuse, chunked dispatch, shm transport, respawn.
+"""WorkerPool: warm reuse, chunked dispatch, respawn.
 
 The pool's one inviolable contract is that chunking and reuse change
 *when* work runs, never *what* the caller sees: every configuration
@@ -11,7 +11,6 @@ import os
 import pickle
 import signal
 
-import numpy as np
 import pytest
 
 from repro.engine import WarmupSpec, WorkUnit, WorkerPool
@@ -22,15 +21,6 @@ from repro.telemetry import Telemetry
 
 def _square(x):
     return x * x
-
-
-def _array_from_seed(seed, size):
-    # Deterministic payload large enough to cross a low shm threshold.
-    return np.random.default_rng(seed).standard_normal(size)
-
-
-def _sum_array(array):
-    return float(array.sum())
 
 
 def _boom(x):
@@ -152,53 +142,6 @@ class TestWarmReuse:
         pool.close()
         counters = telemetry.metrics.counter_values()
         assert counters["engine.pool.spawns"] == 2
-
-
-class TestSharedMemoryTransport:
-    def test_round_trip_is_exact(self):
-        # Low threshold forces argument and result arrays through shm;
-        # the values must survive bit-for-bit.
-        arrays = [_array_from_seed(seed, 4096) for seed in range(4)]
-        units = [
-            WorkUnit(key=f"a{i}", fn=_sum_array, args=(array,))
-            for i, array in enumerate(arrays)
-        ]
-        telemetry = Telemetry()
-        with WorkerPool(workers=2, shm_min_bytes=1024) as pool:
-            results = pool.map_chunks(units, telemetry=telemetry)
-        assert results == [float(array.sum()) for array in arrays]
-        counters = telemetry.metrics.counter_values()
-        assert counters.get("engine.pool.shm_segments", 0) >= 4
-
-    def test_identity_against_inline_pickle(self):
-        arrays = [_array_from_seed(seed, 4096) for seed in range(3)]
-        units = lambda: [  # noqa: E731 - fresh units per pool
-            WorkUnit(key=f"a{i}", fn=_sum_array, args=(array,))
-            for i, array in enumerate(arrays)
-        ]
-        with WorkerPool(workers=2, shm_min_bytes=1024) as pool:
-            via_shm = pickle.dumps(pool.map_chunks(units()))
-        with WorkerPool(workers=2, shm_min_bytes=None) as pool:
-            inline = pickle.dumps(pool.map_chunks(units()))
-        assert via_shm == inline
-
-    def test_no_segments_leak(self):
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):
-            pytest.skip("platform keeps shm segments elsewhere")
-        before = set(os.listdir(shm_dir))
-        units = [
-            WorkUnit(
-                key=f"a{i}",
-                fn=_sum_array,
-                args=(_array_from_seed(i, 4096),),
-            )
-            for i in range(4)
-        ]
-        with WorkerPool(workers=2, shm_min_bytes=1024) as pool:
-            pool.map_chunks(units)
-        leaked = set(os.listdir(shm_dir)) - before
-        assert not leaked
 
 
 class TestRespawn:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import AnalysisError
+from repro.experiments import registry
 from repro.experiments.registry import EXPERIMENTS, main
 
 
@@ -34,3 +36,36 @@ class TestCli:
     def test_unknown_experiment_exits_with_error(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_driver_error_is_one_line_and_exit_1(self, capsys):
+        # At this scale session 2 flies no failures, so fig8 cannot
+        # measure its outcome mix: a one-line error, not a traceback.
+        assert main(["fig8", "--time-scale", "0.01"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: fig8: session 'session2' observed no failures\n"
+        )
+        assert captured.out == ""
+
+    def test_all_keeps_going_past_a_failing_artifact(
+        self, capsys, monkeypatch
+    ):
+        def _cannot_measure(seed, time_scale):
+            raise AnalysisError("session 'session2' observed no failures")
+
+        monkeypatch.setattr(
+            registry,
+            "EXPERIMENTS",
+            {
+                "fig8": _cannot_measure,
+                "fig9": EXPERIMENTS["fig9"],
+                "table3": EXPERIMENTS["table3"],
+            },
+        )
+        assert main(["all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: fig8: session 'session2' observed no failures"
+        ]
+        assert "Figure 9" in captured.out
+        assert "Table 3" in captured.out

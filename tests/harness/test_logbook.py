@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.context import Logbook as LogbookProtocol
 from repro.errors import LogbookError, ReproError
 from repro.harness.logbook import Logbook, LogEntry, VALID_KINDS
 
@@ -62,14 +61,3 @@ class TestKindValidation:
 
     def test_logbook_error_is_a_repro_error(self):
         assert issubclass(LogbookError, ReproError)
-
-
-class TestProtocolConformance:
-    def test_concrete_logbook_satisfies_engine_protocol(self):
-        # The engine's structural Logbook type (a typing.Protocol) must
-        # accept the harness implementation without either module
-        # importing the other.
-        assert isinstance(Logbook(), LogbookProtocol)
-
-    def test_arbitrary_object_does_not_satisfy_protocol(self):
-        assert not isinstance(object(), LogbookProtocol)

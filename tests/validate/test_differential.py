@@ -13,7 +13,12 @@ from repro.engine import ParallelExecutor
 from repro.errors import ValidationError
 from repro.harness.campaign import Campaign
 from repro.resilient.journal import CampaignJournal
-from repro.scheduler import Broker
+from repro.scheduler import (
+    Broker,
+    DirectoryStore,
+    FaultyStore,
+    StoreChaosSpec,
+)
 from repro.validate import (
     DifferentialRunner,
     canonical_campaign_json,
@@ -132,8 +137,8 @@ class TestPairings:
 def _drift_parallel_map(monkeypatch):
     honest = ParallelExecutor.map
 
-    def drifted(self, units, logbook=None, telemetry=None):
-        results = honest(self, units, logbook=logbook, telemetry=telemetry)
+    def drifted(self, units, telemetry=None):
+        results = honest(self, units, telemetry=telemetry)
         return [(session, bits + 1, snap) for session, bits, snap in results]
 
     monkeypatch.setattr(ParallelExecutor, "map", drifted)
@@ -212,6 +217,65 @@ class TestByteGatesCanFail:
         gates = {gate.gate: gate for gate in report.gates}
         assert not gates[f"differential/{pairing}"].ok
         assert path in [d.path for d in report.field_diffs], report.render()
+
+
+# -- the mechanism each broker-pairing gate checks, broken ------------------------
+
+
+def _foreign_leases_never_live(monkeypatch):
+    # Broker B no longer sees A's published leases, so it leases past
+    # them instead of waiting for them to expire.
+    monkeypatch.setattr(
+        DirectoryStore,
+        "foreign_lease_live",
+        lambda self, unit_id, owner, now=None: False,
+    )
+
+
+def _starve_broker_b(monkeypatch):
+    honest = Broker.lease
+
+    def starved(self, worker, limit=1, now=None):
+        if self.broker_id == "chaos-b":
+            return []
+        return honest(self, worker, limit=limit, now=now)
+
+    monkeypatch.setattr(Broker, "lease", starved)
+
+
+def _inject_no_faults(monkeypatch):
+    honest = FaultyStore.__init__
+
+    def inert(self, root, spec, **kwargs):
+        honest(self, root, StoreChaosSpec(), **kwargs)
+
+    monkeypatch.setattr(FaultyStore, "__init__", inert)
+
+
+class TestPairingGatesCanFail:
+    """The pickup, convergence and quarantine gates each fail when the
+    mechanism they check is broken."""
+
+    @pytest.mark.parametrize(
+        "gate, breakage, measured",
+        [
+            (
+                "lease_resume/pickup",
+                _foreign_leases_never_live,
+                "leased-past-live=2",
+            ),
+            ("store_chaos/convergence", _starve_broker_b, "rounds=12"),
+            ("store_chaos/quarantine", _inject_no_faults, "quarantined=0"),
+        ],
+    )
+    def test_broken_mechanism_fails_its_gate(
+        self, runner, monkeypatch, gate, breakage, measured
+    ):
+        breakage(monkeypatch)
+        report = runner.run(gate.split("/")[0])
+        result = {r.gate: r for r in report.gates}[f"differential/{gate}"]
+        assert not result.ok, report.render()
+        assert measured in result.measured
 
 
 class TestScratchDirectories:
