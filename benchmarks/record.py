@@ -120,7 +120,7 @@ def measure_scheduler() -> Dict[str, float]:
             if not leases:
                 return
             for lease in leases:
-                broker.complete(lease, lease.seq)
+                broker.complete(lease)
 
     def drained() -> None:
         broker = Broker()

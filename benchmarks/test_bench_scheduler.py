@@ -52,7 +52,7 @@ def test_bench_submit_lease_complete(benchmark):
             if not leases:
                 break
             for lease in leases:
-                broker.complete(lease, lease.seq)
+                broker.complete(lease)
                 done += 1
         return done
 

@@ -645,7 +645,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 for lease, result in zip(leases, results):
                     # run_cell payloads are JSON-shaped; committing them
                     # verbatim makes the store the checkpoint journal.
-                    broker.complete(lease, result, payload=result)
+                    broker.complete(lease, payload=result)
                 done += len(leases)
                 print(f"  {done}/{total} cell(s) committed")
     except CampaignInterrupted as exc:

@@ -294,7 +294,7 @@ def run_cell(cell: SweepCell) -> dict:
 
     Deterministic in the cell alone (seed + label derive the RNG
     stream), so any broker/worker/resume interleaving commits the same
-    payload bytes -- the property the byte-identity CI check pins.
+    payload bytes -- the property the byte-identity tests pin.
     """
     bundle = get_codec(cell.codec)
     vec = bundle.vectorized

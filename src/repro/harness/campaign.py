@@ -185,8 +185,6 @@ class Campaign:
         self.plans = base_plans
         self.executor = executor or SerialExecutor()
         self.vectorized = vectorized
-        # Back-compat: pre-engine callers reached for campaign.streams.
-        self.streams = context.streams
 
     def config_hash(self) -> str:
         """Stable hash of the flown configuration (plans + root inputs).

@@ -39,8 +39,6 @@ class RunOutcome:
         Software-level failure events raised during the run.
     upsets:
         SRAM upset summary for the run's exposure.
-    recovery_s:
-        Downtime spent recovering after the run (restart / power cycle).
     """
 
     benchmark: str
@@ -48,7 +46,6 @@ class RunOutcome:
     duration_s: float
     failures: List[FailureEvent]
     upsets: InjectionSummary
-    recovery_s: float = 0.0
 
     @property
     def verdict(self) -> Optional[OutcomeKind]:
@@ -73,10 +70,10 @@ class ControlPC:
         Software-failure sampler.
     response_timeout_s:
         How long the Control-PC waits before declaring a crash.
-    app_restart_s / power_cycle_s:
-        Recovery downtimes.  Default 0 so session rates match the
-        paper's time accounting (Table 2 normalizes by beam minutes);
-        set realistic values to study availability instead.
+
+    Recovery (an application restart, a power cycle) takes no beam
+    time: session rates follow the paper's time accounting, and Table 2
+    normalizes by beam minutes.
     """
 
     def __init__(
@@ -85,15 +82,11 @@ class ControlPC:
         injector: BeamInjector,
         outcome_model: OutcomeModel = None,
         response_timeout_s: float = 30.0,
-        app_restart_s: float = 0.0,
-        power_cycle_s: float = 0.0,
     ) -> None:
         self.chip = chip
         self.injector = injector
         self.outcome_model = outcome_model or OutcomeModel()
         self.response_timeout_s = response_timeout_s
-        self.app_restart_s = app_restart_s
-        self.power_cycle_s = power_cycle_s
         self.logbook = Logbook()
         #: Session-cumulative EDAC log: the chip's own log is lost on a
         #: power cycle, so the Control-PC archives every SLIMpro health
@@ -130,7 +123,7 @@ class ControlPC:
         # wipe the chip-side log.
         for record in self.chip.slimpro.poll_health():
             self.session_edac.log(record)
-        recovery = self._handle_failures(benchmark, start_s, duration_s, failures)
+        self._handle_failures(benchmark, start_s, duration_s, failures)
         if not failures:
             self.logbook.record(
                 start_s + duration_s, "ok", "output matches golden", benchmark
@@ -141,7 +134,6 @@ class ControlPC:
             duration_s=duration_s,
             failures=failures,
             upsets=upsets,
-            recovery_s=recovery,
         )
 
     def _handle_failures(
@@ -150,9 +142,8 @@ class ControlPC:
         start_s: float,
         duration_s: float,
         failures: List[FailureEvent],
-    ) -> float:
-        """Log detections/recoveries; return total recovery downtime."""
-        recovery = 0.0
+    ) -> None:
+        """Log detections and recoveries; power-cycle on a SysCrash."""
         end_s = start_s + duration_s
         for failure in failures:
             if failure.kind is OutcomeKind.SDC:
@@ -175,7 +166,6 @@ class ControlPC:
                     "application restarted",
                     benchmark,
                 )
-                recovery += self.app_restart_s
             else:  # SYS_CRASH
                 self.logbook.record(
                     failure.time_s + self.response_timeout_s,
@@ -190,5 +180,3 @@ class ControlPC:
                     benchmark,
                 )
                 self.chip.power_cycle()
-                recovery += self.power_cycle_s
-        return recovery

@@ -98,7 +98,9 @@ def _run_to_dict(run: RunOutcome) -> dict:
         "benchmark": run.benchmark,
         "start_s": run.start_s,
         "duration_s": run.duration_s,
-        "recovery_s": run.recovery_s,
+        # Recovery takes no session time; the constant keeps
+        # campaign.json's bytes.
+        "recovery_s": 0.0,
         "counts": _counts_to_dict(run.upsets),
         "failure_count": len(run.failures),
     }
@@ -133,12 +135,27 @@ def campaign_to_dict(campaign: CampaignResult) -> dict:
     }
 
 
-def campaign_dict_from_entries(entries: List[dict]) -> dict:
-    """Assemble a campaign dict from per-unit payload entries.
+def unit_payload(key: str, attempts: int, result) -> dict:
+    """Encode one finished work unit, ``_fly_session``'s *result*.
 
-    *entries* are the checkpoint/commit payloads the resilient journal
-    and the scheduler store both carry (``key`` / ``sram_bits`` /
-    ``session``), in plan order.  The session payloads are passed
+    The journal line, the store commit and
+    :func:`campaign_dict_from_entries` all carry exactly this dict.
+    """
+    session, sram_bits, snapshot = result
+    return {
+        "key": key,
+        "attempts": attempts,
+        "sram_bits": sram_bits,
+        "session": session_to_dict(session),
+        "metrics": snapshot,
+    }
+
+
+def campaign_dict_from_entries(entries: List[dict]) -> dict:
+    """Assemble a campaign dict from unit payloads, in plan order.
+
+    *entries* are :func:`unit_payload` dicts, as ``run`` journals them
+    and ``serve`` commits them.  The session payloads are passed
     through byte-for-byte -- never decoded and re-encoded -- which is
     what keeps a resumed, broker-sharded or service-assembled
     ``campaign.json`` identical to an uninterrupted run's.
@@ -209,7 +226,6 @@ def _run_from_dict(data: dict) -> RunOutcome:
         benchmark=data["benchmark"],
         start_s=data["start_s"],
         duration_s=data["duration_s"],
-        recovery_s=data["recovery_s"],
         failures=[],  # failures are kept at session scope
         upsets=InjectionSummary(
             upsets=[],

@@ -8,8 +8,9 @@ bookkeeping (``manifest.json``), the regenerated tables (``table2.csv``
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Iterable
 
 from ..core.report import Table
 from ..errors import AnalysisError
@@ -58,6 +59,13 @@ class ResultsDirectory:
         """Path of the per-unit failure report of the last run."""
         return self._path(self.FAILURES_FILE)
 
+    def discard_run(self, labels: Iterable[str]) -> None:
+        """Remove what a run writes: its JSON files and each label's .dmesg."""
+        names = [self.CAMPAIGN_FILE, self.FAILURES_FILE, self.MANIFEST_FILE]
+        for name in names + [f"{label}.dmesg" for label in labels]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._path(name))
+
     # -- campaign data ---------------------------------------------------------
 
     def save_campaign(self, campaign: CampaignResult) -> str:
@@ -70,8 +78,8 @@ class ResultsDirectory:
     def save_campaign_dict(self, data: dict) -> str:
         """Persist an already-encoded campaign dict; returns the JSON path.
 
-        The resilient runner uses this to write ``campaign.json`` from
-        the journal's payload bytes, avoiding a decode/re-encode round
+        ``run`` and ``serve`` write ``campaign.json`` this way, from the
+        unit payloads they assembled, avoiding a decode/re-encode round
         trip that could perturb floating-point text.
         """
         self._ensure_root()
@@ -119,34 +127,18 @@ class ResultsDirectory:
         self._ensure_root()
         return atomic_write_text(self._path(f"{name}.csv"), table.to_csv())
 
-    def list_tables(self) -> List[str]:
-        """Names of the stored CSV artifacts."""
-        if not os.path.isdir(self.root):
-            return []
-        return sorted(
-            f[:-4] for f in os.listdir(self.root) if f.endswith(".csv")
-        )
-
     # -- logs ----------------------------------------------------------------------
 
-    def save_dmesg(self, campaign: CampaignResult) -> Dict[str, str]:
-        """Persist each session's EDAC archive as a .dmesg file."""
-        self._ensure_root()
-        paths = {}
-        for label, session in campaign.sessions.items():
-            paths[label] = atomic_write_text(
-                self._path(f"{label}.dmesg"), session.edac.to_dmesg()
-            )
-        return paths
+    def save_dmesg(self, campaign_dict: dict) -> Dict[str, str]:
+        """Write each session's ``edac_dmesg`` as ``<label>.dmesg``.
 
-    def export_all(
-        self,
-        campaign: CampaignResult,
-        tables: Optional[Dict[str, Table]] = None,
-    ) -> List[str]:
-        """One-call export: campaign JSON + dmesg logs + given tables."""
-        written = [self.save_campaign(campaign)]
-        written.extend(self.save_dmesg(campaign).values())
-        for name, table in (tables or {}).items():
-            written.append(self.save_table(name, table))
-        return written
+        *campaign_dict* is what ``campaign.json`` holds, so both come
+        from the same payload bytes.  Returns ``{label: path}``.
+        """
+        self._ensure_root()
+        return {
+            label: atomic_write_text(
+                self._path(f"{label}.dmesg"), session["edac_dmesg"]
+            )
+            for label, session in campaign_dict["sessions"].items()
+        }

@@ -17,7 +17,7 @@ of a real beam-test runner:
   resume semantics;
 * :mod:`repro.resilient.chaos` -- deterministic fault injection into
   the harness itself (raising/hanging/killed/crashing units), the
-  machinery behind ``tests/chaos/`` and the CI chaos job.
+  machinery behind ``tests/chaos/``.
 
 Determinism contract: supervision, journaling and chaos never touch an
 RNG stream; unit streams derive from ``(seed, label)`` alone, so

@@ -25,9 +25,8 @@ RNG streams derive from ``(seed, label)`` only -- byte-identical
 campaign results once the faults are survived.
 
 ``crash_after_units`` additionally crashes the *runner* (not a worker)
-after the N-th unit has been journaled, which is how the tests and the
-CI chaos job simulate a mid-campaign SIGTERM at an exact, reproducible
-point.
+after the N-th unit has been journaled, which is how the tests
+simulate a mid-campaign SIGTERM at an exact, reproducible point.
 """
 
 from __future__ import annotations

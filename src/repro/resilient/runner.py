@@ -27,12 +27,8 @@ from typing import Dict, List, Optional
 
 from ..engine import CAMPAIGN_WARMUP, ExecutionContext
 from ..errors import ReproIOError, SupervisionError
-from ..harness.campaign import Campaign, CampaignResult
-from ..io.json_store import (
-    SCHEMA_VERSION,
-    campaign_from_dict,
-    session_to_dict,
-)
+from ..harness.campaign import Campaign
+from ..io.json_store import campaign_dict_from_entries, unit_payload
 from ..io.results_dir import ResultsDirectory
 from ..io.atomic import atomic_write_json
 from ..scheduler import Broker
@@ -53,12 +49,10 @@ class ResilientRunReport:
 
     Attributes
     ----------
-    campaign:
-        The (possibly partial) decoded campaign result -- quarantined
-        sessions are absent from it.
     campaign_dict:
-        The byte-stable encoded campaign (what ``campaign.json``
-        holds); resumed sessions keep their original journal bytes.
+        The encoded campaign (what ``campaign.json`` holds), assembled
+        from the unit payloads and never decoded; resumed sessions keep
+        their journal bytes, quarantined ones are absent.
     unit_reports:
         One :class:`~repro.resilient.supervisor.UnitReport` per plan,
         in plan order (status ``ok``, ``resumed`` or ``quarantined``).
@@ -68,13 +62,11 @@ class ResilientRunReport:
 
     def __init__(
         self,
-        campaign: CampaignResult,
         campaign_dict: dict,
         unit_reports: List[UnitReport],
         resumed_units: int = 0,
         salvaged_lines: int = 0,
     ) -> None:
-        self.campaign = campaign
         self.campaign_dict = campaign_dict
         self.unit_reports = unit_reports
         self.resumed_units = resumed_units
@@ -119,13 +111,13 @@ class ResilientRunReport:
     def persist(self, results: ResultsDirectory) -> List[str]:
         """Write campaign.json (+ dmesg logs, + failures.json) atomically.
 
-        ``campaign.json`` is produced from :attr:`campaign_dict` -- the
-        journal payload bytes -- not from a decode/re-encode round trip,
-        which is what keeps interrupted-and-resumed runs byte-identical
-        to uninterrupted ones.
+        ``campaign.json`` and every ``<label>.dmesg`` come from
+        :attr:`campaign_dict` -- the journal payload bytes -- not from a
+        decode/re-encode round trip, which is what keeps
+        interrupted-and-resumed runs byte-identical to uninterrupted ones.
         """
         written = [results.save_campaign_dict(self.campaign_dict)]
-        written.extend(results.save_dmesg(self.campaign).values())
+        written.extend(results.save_dmesg(self.campaign_dict).values())
         written.append(
             atomic_write_json(results.failures_path(), self.failures_dict())
         )
@@ -134,6 +126,10 @@ class ResilientRunReport:
 
 class ResilientCampaign:
     """A :class:`Campaign` wrapped in checkpointing and supervision.
+
+    A finished unit is kept only as its encoded payload, built and
+    assembled by the same :mod:`repro.io.json_store` functions as in
+    ``serve``; the live session result is dropped.
 
     Parameters
     ----------
@@ -201,7 +197,11 @@ class ResilientCampaign:
 
         With ``resume=True`` an existing journal under *results* is
         loaded, its config hash checked against this configuration, and
-        only the units it does not hold are flown.
+        only the units it does not hold are flown.  Otherwise the
+        journal starts afresh, and what a previous run left under
+        *results* (``campaign.json``, ``failures.json``,
+        ``manifest.json``, the plan's ``.dmesg`` files) is removed
+        before the first unit flies.
         """
         telemetry = self.context.telemetry or NULL_TELEMETRY
         labels = [plan.label for plan in self.plans]
@@ -213,13 +213,12 @@ class ResilientCampaign:
         )
         journal_path = results.journal_path(ensure_root=True)
 
-        completed: Dict[str, JournalEntry] = {}
+        # Resumed unit payloads by label.
+        completed: Dict[str, dict] = {}
         salvaged = 0
         if resume:
             loaded = CampaignJournal.load(journal_path)
-            stored_header, completed, salvaged = (
-                loaded.header, loaded.entries, loaded.salvaged,
-            )
+            stored_header, salvaged = loaded.header, loaded.salvaged
             if stored_header.config_hash != header.config_hash:
                 raise ReproIOError(
                     f"journal at {journal_path!r} was written by a "
@@ -230,9 +229,10 @@ class ResilientCampaign:
             # Drop journal entries for units no longer in the plan
             # (config hash covers plans, so this cannot happen unless
             # the hash matched -- keep it as a hard invariant anyway).
+            # A JournalEntry's fields are the unit payload's keys.
             completed = {
-                key: entry
-                for key, entry in completed.items()
+                key: vars(entry)
+                for key, entry in loaded.entries.items()
                 if key in set(labels)
             }
             if salvaged:
@@ -244,6 +244,7 @@ class ResilientCampaign:
                 valid_end=loaded.valid_end
             )
         else:
+            results.discard_run(labels)
             journal = CampaignJournal.create(
                 journal_path, header, fsync=self.fsync
             )
@@ -266,19 +267,9 @@ class ResilientCampaign:
         ) -> None:
             fresh_reports[report.key] = report
             if report.ok:
-                session_result, sram_bits, snapshot = result
-                entry = JournalEntry(
-                    key=report.key,
-                    attempts=report.attempts,
-                    sram_bits=sram_bits,
-                    session=session_to_dict(session_result),
-                    metrics=snapshot,
-                )
-                journal.append_unit(entry)
-                fresh[report.key] = {
-                    "entry": entry,
-                    "session_result": session_result,
-                }
+                payload = unit_payload(report.key, report.attempts, result)
+                journal.append_unit(JournalEntry(**payload))
+                fresh[report.key] = payload
             if (
                 report.ok
                 and self.chaos is not None
@@ -314,74 +305,40 @@ class ResilientCampaign:
 
     def _assemble(
         self,
-        completed: Dict[str, JournalEntry],
+        completed: Dict[str, dict],
         fresh: Dict[str, dict],
         fresh_reports: Dict[str, UnitReport],
         telemetry,
         salvaged: int,
     ) -> ResilientRunReport:
-        sessions: Dict[str, dict] = {}
-        sram_bits = 0
+        entries: List[dict] = []
         unit_reports: List[UnitReport] = []
-        result = CampaignResult()
-
         for plan in self.plans:
             label = plan.label
             if label in completed:
-                entry = completed[label]
-                sessions[label] = entry.session
-                if not sram_bits:
-                    sram_bits = entry.sram_bits
-                telemetry.merge_snapshot(entry.metrics)
-                # Resumed sessions are decoded from their journal
-                # payload for the in-memory result; campaign.json keeps
-                # the original bytes via `sessions` above.
-                unit_reports.append(
-                    UnitReport(
-                        key=label,
-                        status="resumed",
-                        attempts=entry.attempts,
-                        retries=0,
-                        timeouts=0,
-                    )
+                payload = completed[label]
+                report = UnitReport(
+                    key=label,
+                    status="resumed",
+                    attempts=payload["attempts"],
+                    retries=0,
+                    timeouts=0,
                 )
-            elif label in fresh:
-                entry = fresh[label]["entry"]
-                sessions[label] = entry.session
-                if not sram_bits:
-                    sram_bits = entry.sram_bits
-                telemetry.merge_snapshot(entry.metrics)
-                unit_reports.append(fresh_reports[label])
             else:
+                payload = fresh.get(label)
                 report = fresh_reports.get(label)
                 if report is None:
                     raise SupervisionError(
                         f"unit {label!r} neither completed nor reported"
                     )
-                unit_reports.append(report)
+            if payload is not None:
+                telemetry.merge_snapshot(payload["metrics"])
+                entries.append(payload)
+            unit_reports.append(report)
 
-        campaign_dict = {
-            "schema": SCHEMA_VERSION,
-            "sram_bits": sram_bits,
-            "sessions": sessions,
-        }
-        decoded = campaign_from_dict(campaign_dict)
-        for label, session in decoded.sessions.items():
-            # Fresh units keep their original in-memory objects (exact
-            # floats, no round trip); resumed ones use the decoded form.
-            if label in fresh:
-                result.sessions[label] = fresh[label]["session_result"]
-            else:
-                result.sessions[label] = session
-        result.sram_bits = sram_bits
-
-        resumed_count = sum(
-            1 for r in unit_reports if r.status == "resumed"
-        )
         return ResilientRunReport(
-            campaign=result,
-            campaign_dict=campaign_dict,
+            campaign_dict=campaign_dict_from_entries(entries),
             unit_reports=unit_reports,
-            resumed_units=resumed_count,
+            resumed_units=len(completed),
             salvaged_lines=salvaged,
         )

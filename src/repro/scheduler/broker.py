@@ -2,7 +2,8 @@
 
 The broker owns scheduling and nothing else.  It never runs a work
 unit, never touches an RNG stream, and never decodes a session payload
--- it hands out *leases* on planned units and records what came back:
+-- it hands out *leases* on planned units and keeps the encoded
+payload each one came back with, never the live result:
 
 * **submit** queues a planned campaign, deduping on the config hash
   (the same physics submitted twice is one submission) and refusing --
@@ -95,7 +96,6 @@ class _UnitRecord:
     token: int = 0
     worker: Optional[str] = None
     deadline: Optional[float] = None
-    result: Any = None
     payload: Optional[dict] = None
     error: Optional[str] = None
 
@@ -501,10 +501,11 @@ class Broker:
 
     # -- settlement --------------------------------------------------------------
 
-    def complete(
-        self, lease: Lease, result: Any, payload: Optional[dict] = None
-    ) -> bool:
-        """Settle a unit with its result; False for discarded duplicates.
+    def complete(self, lease: Lease, payload: Optional[dict] = None) -> bool:
+        """Settle a unit with its encoded payload; False for duplicates.
+
+        The broker keeps the payload, never the live result.  A
+        store-backed broker requires it; an in-process drain omits it.
 
         Exactly-once: the first completion (in-memory) or the first
         exclusive store commit (shared directory) wins; every later
@@ -532,7 +533,6 @@ class Broker:
             if not self._commit_to_store(record, lease, payload):
                 return False  # settled inside: adopted or re-queued
         self._set_status(record, DONE)
-        record.result = result
         record.payload = payload
         record.worker = None
         record.deadline = None
@@ -684,9 +684,6 @@ class Broker:
     def unit_status(self, unit_id: str) -> str:
         return self._require_unit(unit_id).status
 
-    def unit_result(self, unit_id: str) -> Any:
-        return self._require_unit(unit_id).result
-
     def unit_payload(self, unit_id: str) -> Optional[dict]:
         return self._require_unit(unit_id).payload
 
@@ -754,15 +751,16 @@ class Broker:
         settled (complete/fail) as each report arrives, in submission
         order, before the caller's callback runs -- so a checkpoint
         callback that raises (chaos, SIGTERM) still leaves every
-        settled unit settled.  Without it, any plain
-        :class:`~repro.engine.Executor` works and units settle after
-        the batch returns.
+        settled unit settled.  The callback takes each result, so the
+        returned map is empty.  Without it, any plain
+        :class:`~repro.engine.Executor` works, units settle after the
+        batch returns, and the results come back keyed by unit id (the
+        ``Campaign.run()`` path).
 
-        Returns results keyed by unit id.  Scheduling is span-free on
-        purpose: the only span a drained campaign opens around its
-        units is the executor's own ``executor.map``, keeping the
-        telemetry tree of ``Campaign.run()`` identical to the
-        pre-broker one.
+        Scheduling is span-free on purpose: the only span a drained
+        campaign opens around its units is the executor's own
+        ``executor.map``, keeping the telemetry tree of
+        ``Campaign.run()`` identical to the pre-broker one.
         """
         results: Dict[str, Any] = {}
         while True:
@@ -775,8 +773,7 @@ class Broker:
                 def _settle(index: int, report, result) -> None:
                     lease = leases[index]
                     if report.ok:
-                        results[lease.unit_id] = result
-                        self.complete(lease, result)
+                        self.complete(lease)
                     else:
                         self.fail(
                             lease, report.error or "quarantined"
@@ -788,5 +785,5 @@ class Broker:
                 mapped = executor.map(units, telemetry=telemetry)
                 for lease, result in zip(leases, mapped):
                     results[lease.unit_id] = result
-                    self.complete(lease, result)
+                    self.complete(lease)
         return results

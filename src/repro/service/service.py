@@ -44,7 +44,7 @@ from .. import __version__
 from ..engine import CAMPAIGN_WARMUP
 from ..errors import ReproError, SchedulerBusy, SchedulerError
 from ..io.atomic import atomic_write_json, atomic_write_text
-from ..io.json_store import campaign_dict_from_entries, campaign_from_dict
+from ..io.json_store import campaign_dict_from_entries, unit_payload
 from ..io.results_dir import ResultsDirectory
 from ..resilient import EventJournal, SupervisedExecutor, SupervisionPolicy
 from ..scheduler import Broker, CampaignPlan, CampaignSpec, DirectoryStore
@@ -248,20 +248,11 @@ class CampaignService:
 
     def _settle(self, lease, report, result) -> None:
         """Executor-thread callback: commit or fail one finished unit."""
-        from ..io.json_store import session_to_dict
-
         with self._lock:
             if report.ok:
-                session_result, sram_bits, snapshot = result
-                payload = {
-                    "key": lease.label,
-                    "attempts": report.attempts,
-                    "sram_bits": sram_bits,
-                    "session": session_to_dict(session_result),
-                    "metrics": snapshot,
-                }
-                if self.broker.complete(lease, result, payload=payload):
-                    self.telemetry.merge_snapshot(snapshot)
+                payload = unit_payload(lease.label, report.attempts, result)
+                if self.broker.complete(lease, payload=payload):
+                    self.telemetry.merge_snapshot(payload["metrics"])
             else:
                 self.broker.fail(lease, report.error or "quarantined")
 
@@ -331,19 +322,22 @@ class CampaignService:
     def _assemble_one(self, submission, entries: List[dict]) -> None:
         """Mirror ``ResilientRunReport.persist`` from committed payloads.
 
-        ``campaign.json`` is written from the committed payload bytes
-        (never a decode/re-encode round trip), so a service-assembled
-        campaign is byte-identical to a ``repro-campaign run`` of the
-        same spec -- the differential suite's ``service`` pairing holds
-        the harness to that.  ``failures.json`` is written last: its
-        existence is what ``submit --wait`` and :meth:`recover` read as
-        "this submission is done".
+        ``campaign.json`` and every ``<label>.dmesg`` are written from
+        the committed payload bytes, assembled by the same
+        :func:`~repro.io.json_store.campaign_dict_from_entries` as
+        ``run`` (never a decode/re-encode round trip), so a
+        service-assembled campaign is byte-identical to a
+        ``repro-campaign run`` of the same spec -- the differential
+        suite's ``service`` pairing holds the harness to that.
+        ``failures.json`` is written last: its existence is what
+        ``submit --wait`` and :meth:`recover` read as "this submission
+        is done".
         """
         sid = submission.submission_id
         campaign_dict = campaign_dict_from_entries(entries)
         results = ResultsDirectory(layout.results_dir(self.root, sid))
         results.save_campaign_dict(campaign_dict)
-        results.save_dmesg(campaign_from_dict(campaign_dict))
+        results.save_dmesg(campaign_dict)
         plan = self._plans.get(sid)
         manifest = RunManifest(
             seed=plan.seed if plan else 0,

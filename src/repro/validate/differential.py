@@ -72,7 +72,7 @@ from ..harness.campaign import Campaign, CampaignResult
 from ..io.json_store import (
     campaign_dict_from_entries,
     campaign_to_dict,
-    session_to_dict,
+    unit_payload,
 )
 from ..io.results_dir import ResultsDirectory
 from ..resilient import (
@@ -502,17 +502,9 @@ class DifferentialRunner:
         def settle(index, report, result):
             lease = leases[index]
             if report.ok:
-                session_result, sram_bits, snapshot = result
                 broker.complete(
                     lease,
-                    result,
-                    payload={
-                        "key": lease.label,
-                        "attempts": report.attempts,
-                        "sram_bits": sram_bits,
-                        "session": session_to_dict(session_result),
-                        "metrics": snapshot,
-                    },
+                    payload=unit_payload(lease.label, report.attempts, result),
                 )
             else:
                 broker.fail(lease, report.error or "failed")

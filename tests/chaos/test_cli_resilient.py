@@ -102,6 +102,22 @@ class TestFreshGuard:
         assert main(["run", outdir, "--fresh"] + SCALE) == 0
         assert read_bytes(outdir) == read_bytes(clean_run)
 
+    def test_fresh_removes_what_the_old_run_wrote(self, tmp_path):
+        # A session the --fresh run does not fly must not keep the old
+        # run's capture beside the new campaign.json.
+        outdir = str(tmp_path / "refly")
+        assert main(["run", outdir] + SCALE) == 0
+        chaos = json.dumps({"units": {"session2": ["fatal"]}})
+        assert main(["run", outdir, "--fresh", "--chaos", chaos] + SCALE) == 0
+        sessions = json.loads(read_bytes(outdir))["sessions"]
+        captures = sorted(
+            name[: -len(".dmesg")]
+            for name in os.listdir(outdir)
+            if name.endswith(".dmesg")
+        )
+        assert captures == sorted(sessions)
+        assert captures == ["session1", "session3", "session4"]
+
     def test_resume_and_fresh_are_mutually_exclusive(self, tmp_path, capsys):
         outdir = str(tmp_path / "conflict")
         with pytest.raises(SystemExit):

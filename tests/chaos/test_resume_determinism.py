@@ -145,7 +145,7 @@ class TestFaultSurvivalDeterminism:
         ).run(results)
         assert not report.ok
         assert [r.key for r in report.failed_units] == ["session2"]
-        labels = set(report.campaign.sessions)
+        labels = set(report.campaign_dict["sessions"])
         assert "session2" not in labels
         assert {"session1", "session3", "session4"} <= labels
 

@@ -100,11 +100,12 @@ class TestDeterminism:
     def test_parallel_matches_serial(self, explored, tmp_path):
         outdir = str(tmp_path / "par")
         assert main(["explore", outdir, "--workers", "4"] + TINY) == 0
-        with open(os.path.join(explored, "pareto.json"), "rb") as handle:
-            serial = handle.read()
-        with open(os.path.join(outdir, "pareto.json"), "rb") as handle:
-            parallel = handle.read()
-        assert serial == parallel
+        for name in ("pareto.json", "fit_cells.csv"):
+            with open(os.path.join(explored, name), "rb") as handle:
+                serial = handle.read()
+            with open(os.path.join(outdir, name), "rb") as handle:
+                parallel = handle.read()
+            assert serial == parallel, name
 
     def test_mid_sweep_resume_matches_full_run(self, explored, tmp_path):
         # Simulate a killed sweep: commit the first two cells through
@@ -119,7 +120,7 @@ class TestDeterminism:
         broker.submit(plan_sweep(spec))
         for lease in broker.lease("test-worker", limit=2):
             payload = run_cell(lease.unit.args[0])
-            broker.complete(lease, payload, payload=payload)
+            broker.complete(lease, payload=payload)
         assert main(["explore", outdir, "--resume"] + TINY) == 0
         with open(os.path.join(explored, "pareto.json"), "rb") as handle:
             full = handle.read()

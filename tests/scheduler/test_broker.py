@@ -43,7 +43,7 @@ class TestSubmit:
         broker = Broker(capacity=4, clock=clock)
         broker.submit(make_plan(4))
         for lease in lease_all(broker):
-            broker.complete(lease, lease.seq)
+            broker.complete(lease)
         broker.submit(make_plan(4, config_hash="beef" * 6))  # fits now
 
     def test_bad_knobs_refused(self, clock):
@@ -104,10 +104,10 @@ class TestLeasing:
         clock.advance(11.0)
         (fresh,) = lease_all(broker, worker="w2")
         assert fresh.token != stale.token
-        assert broker.complete(fresh, "fresh") is True
+        assert broker.complete(fresh, payload={"who": "fresh"}) is True
         # The stale worker's late completion is a discarded duplicate.
-        assert broker.complete(stale, "stale") is False
-        assert broker.unit_result(fresh.unit_id) == "fresh"
+        assert broker.complete(stale, payload={"who": "stale"}) is False
+        assert broker.unit_payload(fresh.unit_id) == {"who": "fresh"}
 
     def test_heartbeat_on_stale_lease_raises(self, clock):
         broker = Broker(clock=clock, lease_ttl_s=10.0)
@@ -127,7 +127,7 @@ class TestLeasing:
         (lease,) = lease_all(broker)
         clock.advance(11.0)
         broker.expire()
-        assert broker.complete(lease, "late-but-good") is True
+        assert broker.complete(lease) is True
         assert lease_all(broker) == []
 
 
@@ -136,9 +136,9 @@ class TestSettlement:
         broker = Broker(clock=clock)
         broker.submit(make_plan(2))
         leases = lease_all(broker)
-        assert broker.complete(leases[0], 1) is True
-        assert broker.complete(leases[0], 2) is False
-        assert broker.unit_result(leases[0].unit_id) == 1
+        assert broker.complete(leases[0], payload={"n": 1}) is True
+        assert broker.complete(leases[0], payload={"n": 2}) is False
+        assert broker.unit_payload(leases[0].unit_id) == {"n": 1}
 
     def test_fail_requeue_and_refail(self, clock):
         broker = Broker(clock=clock)
@@ -162,9 +162,7 @@ class TestSettlement:
         leases = lease_all(broker)
         # Complete out of order; assembly must be plan order anyway.
         for lease in reversed(leases):
-            broker.complete(
-                lease, None, payload=None
-            )
+            broker.complete(lease)
         assert broker.is_complete(sub.submission_id)
 
     def test_cancel_drops_pending_keeps_leased(self, clock):
@@ -175,7 +173,7 @@ class TestSettlement:
         assert dropped == 2
         assert broker.pending_count() == 0
         # In-flight leases still settle normally.
-        assert broker.complete(leased[0], "x") is True
+        assert broker.complete(leased[0]) is True
         broker.fail(leased[1], "y")
         assert broker.is_settled(sub.submission_id)
         assert broker.submission(sub.submission_id).cancelled
@@ -192,7 +190,7 @@ class TestStoreIntegration:
         broker = Broker(store=store, clock=clock, broker_id="a")
         broker.submit(make_plan(2))
         for lease in lease_all(broker):
-            broker.complete(lease, None, payload={"key": lease.label})
+            broker.complete(lease, payload={"key": lease.label})
         assert store.committed_units() == {
             "feedfacefeed/u0",
             "feedfacefeed/u1",
@@ -204,7 +202,7 @@ class TestStoreIntegration:
         broker.submit(make_plan(1))
         (lease,) = lease_all(broker)
         with pytest.raises(SchedulerError, match="payload"):
-            broker.complete(lease, None)
+            broker.complete(lease)
 
     def test_submit_recovers_committed_units(self, tmp_path, clock):
         store = DirectoryStore(str(tmp_path / "s"), clock=clock)
@@ -227,9 +225,9 @@ class TestStoreIntegration:
         (lease_a,) = lease_all(a, worker="a")
         clock.advance(6.0)  # a's published lease expires
         (lease_b,) = lease_all(b, worker="b")
-        assert b.complete(lease_b, "b", payload={"who": "b"}) is True
+        assert b.complete(lease_b, payload={"who": "b"}) is True
         # a's late commit loses and adopts b's payload.
-        assert a.complete(lease_a, "a", payload={"who": "a"}) is False
+        assert a.complete(lease_a, payload={"who": "a"}) is False
         assert a.unit_payload(lease_a.unit_id) == {"who": "b"}
         assert store.read_commit(lease_a.unit_id) == {"who": "b"}
 
@@ -292,7 +290,7 @@ class TestWorkerQuotas:
         assert len(leases) == 2
         # The quota is on *inflight* units, not total leases ever:
         # settling one frees a slot.
-        assert broker.complete(leases[0], leases[0].seq)
+        assert broker.complete(leases[0])
         assert len(lease_all(broker)) == 1
 
     def test_deferred_units_stay_queued_and_are_counted(self, clock):

@@ -108,7 +108,7 @@ class TestBrokerFencing:
         usurper = store.register_epoch("b")
         store.write_lease(lease.unit_id, "b", ttl_s=30.0, epoch=usurper)
         old_epoch = a.epoch
-        assert a.complete(lease, 0, payload={"who": "a"}) is False
+        assert a.complete(lease, payload={"who": "a"}) is False
         # The stale payload was never adopted...
         assert store.read_commit(lease.unit_id) is None
         # ...the unit went back to the queue, and a re-registered.
@@ -124,7 +124,7 @@ class TestBrokerFencing:
         store.try_commit(
             lease.unit_id, {"who": "b"}, epoch=usurper, owner="b"
         )
-        assert a.complete(lease, 0, payload={"who": "a"}) is False
+        assert a.complete(lease, payload={"who": "a"}) is False
         assert a.unit_status(lease.unit_id) == "done"
         assert a.unit_payload(lease.unit_id) == {"who": "b"}
 
@@ -156,7 +156,7 @@ class TestBrokerFencing:
         leases = a.lease("wa")
         assert [lease.unit_id for lease in leases] == [unit_id]
         assert a.epoch > dead
-        assert a.complete(leases[0], 0, payload={"who": "a"}) is True
+        assert a.complete(leases[0], payload={"who": "a"}) is True
 
 
 class TestRetryPolicy:

@@ -46,8 +46,6 @@ class Driver:
         self.wins = {}  # unit_id -> count of complete()==True
 
     def _payload(self, lease):
-        if self.broker.store is None:
-            return None
         return {"key": lease.label}
 
     def step(self, code, pick):
@@ -70,7 +68,7 @@ class Driver:
                 held[held.index(lease)] = refreshed
         elif code == COMPLETE:
             lease = held.pop(pick % len(held))
-            if broker.complete(lease, lease.seq, payload=self._payload(lease)):
+            if broker.complete(lease, payload=self._payload(lease)):
                 self.wins[lease.unit_id] = self.wins.get(lease.unit_id, 0) + 1
         elif code == FAIL_REQUEUE:
             lease = held.pop(pick % len(held))
@@ -87,9 +85,7 @@ class Driver:
         for _ in range(self.n_units * 4):
             self.clock.advance(10_000.0)
             for lease in self.broker.lease("sweeper", limit=None):
-                if self.broker.complete(
-                    lease, lease.seq, payload=self._payload(lease)
-                ):
+                if self.broker.complete(lease, payload=self._payload(lease)):
                     self.wins[lease.unit_id] = (
                         self.wins.get(lease.unit_id, 0) + 1
                     )
@@ -126,7 +122,7 @@ def test_exactly_once_under_any_interleaving(schedule, n_units):
     ]
     assert all(count == 1 for count in driver.wins.values())
     for i in range(n_units):
-        assert broker.unit_result(f"feedfacefeed/u{i}") == i
+        assert broker.unit_payload(f"feedfacefeed/u{i}") == {"key": f"u{i}"}
 
 
 @settings(max_examples=60, deadline=None)

@@ -127,9 +127,7 @@ class TestBrokerUnderChaos:
         for _ in range(6):
             leases = broker.lease("w", limit=None)
             for lease in leases:
-                broker.complete(
-                    lease, lease.seq, payload={"key": lease.label}
-                )
+                broker.complete(lease, payload={"key": lease.label})
             if broker.is_complete("sub-feedfacefeed"):
                 break
             clock.advance(1_000.0)
@@ -182,9 +180,7 @@ def test_two_brokers_exactly_once_under_any_fault_schedule(
         for broker in brokers:
             clock.advance(1_000.0)
             for lease in broker.lease(broker.broker_id, limit=None):
-                if broker.complete(
-                    lease, lease.seq, payload={"key": lease.label}
-                ):
+                if broker.complete(lease, payload={"key": lease.label}):
                     unit_wins = wins[broker.broker_id]
                     unit_wins[lease.unit_id] = (
                         unit_wins.get(lease.unit_id, 0) + 1

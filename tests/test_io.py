@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Campaign, CampaignAnalysis
+from repro import Campaign
 from repro.core.analysis import CampaignAnalysis as Analysis
 from repro.errors import AnalysisError
 from repro.injection.events import OutcomeKind
@@ -107,17 +107,3 @@ class TestResultsDirectory:
         results = ResultsDirectory(str(tmp_path / "empty"))
         with pytest.raises(AnalysisError):
             results.load_campaign()
-
-    def test_export_all(self, campaign, tmp_path):
-        results = ResultsDirectory(str(tmp_path / "run2"))
-        analysis = CampaignAnalysis(campaign)
-        written = results.export_all(
-            campaign, tables={"table2": analysis.table2()}
-        )
-        assert any(p.endswith("campaign.json") for p in written)
-        assert any(p.endswith("table2.csv") for p in written)
-        assert any(p.endswith("session1.dmesg") for p in written)
-        assert results.list_tables() == ["table2"]
-
-    def test_list_tables_empty_dir(self, tmp_path):
-        assert ResultsDirectory(str(tmp_path / "nope")).list_tables() == []

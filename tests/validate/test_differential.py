@@ -180,12 +180,12 @@ def _drift_commits_by(*broker_ids):
     def _drift_commits(monkeypatch):
         honest = Broker.complete
 
-        def drifted(self, lease, result, payload=None):
+        def drifted(self, lease, payload=None):
             if payload is not None and self.broker_id in broker_ids:
                 session = dict(payload["session"])
                 session["upsets_duration_s"] += 1.0
                 payload = dict(payload, session=session)
-            return honest(self, lease, result, payload=payload)
+            return honest(self, lease, payload=payload)
 
         monkeypatch.setattr(Broker, "complete", drifted)
         return "$.sessions.session4.upsets_duration_s"
