@@ -74,8 +74,8 @@ def measure_engine() -> Dict[str, float]:
     campaign_s = _timed(lambda: Campaign(seed=2023, time_scale=0.02).run())
 
     from benchmarks.test_bench_pool import BATCHES, fly_cold, fly_warm
-    from benchmarks.test_bench_scheduler import UNITS, _plan
-    from repro.engine import ParallelExecutor
+    from benchmarks.test_bench_scheduler import UNITS, _encode, _plan
+    from repro.resilient import SupervisedExecutor
     from repro.scheduler import Broker
 
     warm_s = _timed(fly_warm)
@@ -84,11 +84,11 @@ def measure_engine() -> Dict[str, float]:
     def drain_pooled() -> None:
         # One warm executor across the whole drain: what the service
         # loop and resilient runner actually pay per unit.
-        executor = ParallelExecutor(2)
+        executor = SupervisedExecutor(workers=2)
         try:
             broker = Broker()
             broker.submit(_plan())
-            broker.drain(executor)
+            broker.drain(executor, _encode)
         finally:
             executor.close()
 
@@ -107,9 +107,9 @@ def measure_engine() -> Dict[str, float]:
 
 
 def measure_scheduler() -> Dict[str, float]:
-    from benchmarks.test_bench_scheduler import UNITS, _noop, _plan
+    from benchmarks.test_bench_scheduler import UNITS, _encode, _noop, _plan
 
-    from repro.engine import SerialExecutor
+    from repro.resilient import SupervisedExecutor
     from repro.scheduler import Broker
 
     def cycle() -> None:
@@ -125,7 +125,7 @@ def measure_scheduler() -> Dict[str, float]:
     def drained() -> None:
         broker = Broker()
         broker.submit(_plan())
-        broker.drain(SerialExecutor())
+        broker.drain(SupervisedExecutor(), _encode)
 
     cycle_s = _timed(cycle)
     drain_s = _timed(drained)

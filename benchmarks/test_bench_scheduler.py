@@ -10,8 +10,8 @@ into ``BENCH_scheduler.json``.
 
 import time
 
-from repro.engine import SerialExecutor
 from repro.engine.executor import WorkUnit
+from repro.resilient import SupervisedExecutor
 from repro.scheduler import Broker, CampaignPlan, PlannedUnit
 
 #: Units per scheduling cycle; enough that per-unit cost dominates.
@@ -24,6 +24,10 @@ MAX_OVERHEAD_S_PER_UNIT = 0.002
 
 def _noop(index: int) -> int:
     return index
+
+
+def _encode(lease, report, result) -> dict:
+    return {"key": lease.label, "value": result}
 
 
 def _plan(n: int = UNITS) -> CampaignPlan:
@@ -69,7 +73,8 @@ def test_bench_drain_overhead(benchmark):
         broker = Broker()
         plan = _plan()
         broker.submit(plan)
-        return broker.drain(SerialExecutor())
+        broker.drain(SupervisedExecutor(), _encode)
+        return broker.entries_for(plan.submission_id)
 
     results = benchmark(drained)
     assert len(results) == UNITS

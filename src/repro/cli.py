@@ -63,6 +63,11 @@ Subcommands::
         fit_cells.csv.  Split-half consistency gates guard every cell;
         exit 4 when any fails.  --workers N runs cells on separate
         processes; pareto.json is byte-identical to the serial run.
+        Cells fly under the same supervision as `run`: a cell that
+        keeps failing is quarantined, the rest still commit, and the
+        sweep exits 1 with one error line per failed cell and no
+        pareto.json (--resume reruns the failed cells).  --fresh also
+        removes the previous sweep's pareto.json and fit_cells.csv.
 
     repro-campaign serve ROOT [--workers N] [--capacity N] [--lease-ttl S]
                               [--http PORT] [--idle-exit S] [--validate]
@@ -119,7 +124,12 @@ from .harness.campaign import CampaignResult
 from .injection.events import OutcomeKind
 from .io.atomic import atomic_write_text
 from .io.results_dir import ResultsDirectory
-from .resilient import ChaosSpec, ResilientCampaign, SupervisionPolicy
+from .resilient import (
+    ChaosSpec,
+    ResilientCampaign,
+    SupervisedExecutor,
+    SupervisionPolicy,
+)
 from .telemetry import (
     RunManifest,
     Telemetry,
@@ -572,7 +582,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     import shutil
 
     from .codecs import assemble_pareto, plan_sweep
-    from .engine.executor import resolve_executor
     from .engine.pool import WarmupSpec
     from .scheduler import Broker, DirectoryStore
     from .tech import DEFAULT_NODE
@@ -602,23 +611,34 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.fresh and os.path.isdir(scheduler_dir):
-        shutil.rmtree(scheduler_dir)
+    if args.fresh:
+        # The old sweep's artifacts must not survive beside a store of
+        # the new one if this sweep is interrupted.
+        if os.path.isdir(scheduler_dir):
+            shutil.rmtree(scheduler_dir)
+        for name in ("pareto.json", "fit_cells.csv"):
+            path = os.path.join(args.outdir, name)
+            if os.path.exists(path):
+                os.remove(path)
     os.makedirs(scheduler_dir, exist_ok=True)
+    # A fixed broker id: the next explore on OUTDIR owns whatever a
+    # killed one left leased, and its newer fencing epoch supersedes the
+    # dead process's, so --resume never waits out a stranded lease.
     broker = Broker(
         lease_ttl_s=3600.0,
         store=DirectoryStore(scheduler_dir),
-        broker_id=f"explore-{os.getpid()}",
+        broker_id="explore",
     )
     plan = plan_sweep(spec)
     submission = broker.submit(plan)
     sid = submission.submission_id
     total = len(plan.units)
     recovered = total - broker.pending_count()
-    # Cell units re-enter the same codecs every lease batch; warming
-    # their tables once per worker keeps the pool's reuse win honest.
-    executor = resolve_executor(
-        args.workers, warmup=WarmupSpec(codecs=tuple(spec.codecs))
+    # Every cell re-enters the same codecs; warming their tables once
+    # per worker keeps the pool's reuse win honest.
+    executor = SupervisedExecutor(
+        workers=max(args.workers, 0),  # --workers <= 1 runs serially
+        warmup=WarmupSpec(codecs=tuple(spec.codecs)),
     )
     axes = (
         f"{len(spec.codecs)} codec(s) x {len(spec.points)} point(s) x "
@@ -633,21 +653,24 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     if recovered:
         print(f"  recovered {recovered} committed cell(s) from {scheduler_dir}")
-    batch = max(args.workers, 1)
     done = recovered
+    failed_cells = []
+
+    def _progress(lease, report, payload) -> None:
+        nonlocal done
+        if payload is None:
+            failed_cells.append(f"cell {lease.label}: {report.error}")
+            return
+        done += 1
+        print(f"  {done}/{total} cell(s) committed")
+
     try:
         with _interruptible():
-            while True:
-                leases = broker.lease("explore-cli", limit=batch)
-                if not leases:
-                    break
-                results = executor.map([lease.unit for lease in leases])
-                for lease, result in zip(leases, results):
-                    # run_cell payloads are JSON-shaped; committing them
-                    # verbatim makes the store the checkpoint journal.
-                    broker.complete(lease, payload=result)
-                done += len(leases)
-                print(f"  {done}/{total} cell(s) committed")
+            # run_cell payloads are JSON-shaped; committing them
+            # verbatim makes the store the checkpoint journal.
+            broker.drain(
+                executor, lambda lease, report, cell: cell, _progress
+            )
     except CampaignInterrupted as exc:
         print(
             f"interrupted ({exc}); completed cells are committed under "
@@ -659,6 +682,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return EXIT_INTERRUPTED
     finally:
         executor.close()
+    if failed_cells:
+        # The other cells are committed; --resume reruns only these.
+        for line in failed_cells:
+            print(f"error: {line}", file=sys.stderr)
+        return 1
     document = assemble_pareto(spec, broker.entries_for(sid))
     pareto_path = atomic_write_text(
         os.path.join(args.outdir, "pareto.json"),

@@ -15,6 +15,13 @@ travel in deterministic chunks.  Pool *infrastructure* failures (no
 faster than the respawn budget) fall back to in-process serial
 execution; an exception raised by a unit function itself is re-raised
 to the caller -- it is the unit's genuine result, not a pool problem.
+
+Consumers: ``Campaign.run()``, the ``repro-experiment`` drivers, vmin
+characterization, microarchitectural FI batches and the seed ensemble.
+The verbs that checkpoint (``run``, ``explore``, ``serve``) and the
+differential suite's broker pairings fly their units under
+:class:`~repro.resilient.SupervisedExecutor` instead, settled through
+:meth:`~repro.scheduler.Broker.settle`.
 """
 
 from __future__ import annotations
@@ -113,9 +120,9 @@ class ParallelExecutor(Executor):
 
     The underlying :class:`~repro.engine.pool.WorkerPool` spawns
     lazily on the first multi-unit batch and is reused by every later
-    ``map()`` call -- broker drain batches, service jobs and explorer
-    cells all ride the same warm workers.  Call :meth:`close` (or use
-    the executor as a context manager) to release the processes.
+    ``map()`` call, so a driver's successive batches ride the same
+    warm workers.  Call :meth:`close` (or use the executor as a
+    context manager) to release the processes.
 
     Parameters
     ----------

@@ -11,7 +11,10 @@ plan and the campaign's root seed, so a
 :class:`~repro.engine.ParallelExecutor` flies them on separate
 processes and still produces output bit-identical to the serial run --
 session streams are derived from ``(seed, label)`` alone, never from
-cross-session draw order.
+cross-session draw order.  :meth:`Campaign.run` maps the planned units
+straight through its executor; the checkpointed ``run`` verb
+(:class:`~repro.resilient.ResilientCampaign`) drains the same plan
+through a scheduler broker instead.
 """
 
 from __future__ import annotations
@@ -206,18 +209,18 @@ class Campaign:
             data["tech_node"] = self.tech_node
         return stable_config_hash(data)
 
-    def plan_campaign(self, with_metrics: Optional[bool] = None):
-        """Plan this campaign for the broker: ordered, stable-id units.
+    def plan_campaign(self):
+        """Plan this campaign: ordered, stable-id work units.
 
-        The scheduling entry point: ``Campaign`` owns plan preparation
-        (time scaling, flux overrides) and the config hash;
+        ``Campaign`` owns plan preparation (time scaling, flux
+        overrides) and the config hash;
         :func:`~repro.scheduler.plan_units` owns the unit wrapping.
+        Units carry a metrics registry when the context's telemetry is
+        enabled.
         """
         from ..scheduler import CampaignPlan, plan_units
 
-        if with_metrics is None:
-            telemetry = self.context.telemetry or NULL_TELEMETRY
-            with_metrics = telemetry.enabled
+        telemetry = self.context.telemetry or NULL_TELEMETRY
         config_hash = self.config_hash()
         return CampaignPlan(
             config_hash=config_hash,
@@ -226,7 +229,7 @@ class Campaign:
                 seed=self.context.seed,
                 config_hash=config_hash,
                 vectorized=self.vectorized,
-                with_metrics=with_metrics,
+                with_metrics=telemetry.enabled,
                 tech_node=self.tech_node,
             ),
             seed=self.context.seed,
@@ -236,34 +239,26 @@ class Campaign:
     def run(self) -> CampaignResult:
         """Fly every session on a fresh chip; return all results.
 
-        Compatibility shim over the scheduling layer: plans the
-        campaign, submits it to a private in-process
-        :class:`~repro.scheduler.Broker`, and drains the queue through
-        this campaign's executor.  The broker adds bookkeeping, never
-        behaviour -- units run through one ``executor.map`` batch in
-        submission order, so the span tree, merged counters and result
-        bytes are identical to the pre-broker serial/parallel runs.
+        Maps the planned units through this campaign's executor in plan
+        order, so serial and parallel executors produce identical span
+        trees, merged counters and result bytes.
 
         With a telemetry sink on the context, each work unit flies with
         a private metrics registry and ships its snapshot back; the
         merge happens here, strictly in submission order, so the merged
         counts are bit-identical between serial and parallel executors.
         """
-        from ..scheduler import Broker
-
         telemetry = self.context.telemetry or NULL_TELEMETRY
         plan = self.plan_campaign()
-        broker = Broker(telemetry=telemetry)
-        broker.submit(plan)
         result = CampaignResult()
         with telemetry.span("campaign.run", sessions=len(plan.units)):
-            outcomes = broker.drain(
-                self.executor, telemetry=self.context.telemetry
+            outcomes = self.executor.map(
+                [planned.unit for planned in plan.units],
+                telemetry=self.context.telemetry,
             )
-            for planned in plan.units:
-                session_result, sram_bits, snapshot = outcomes[
-                    planned.unit_id
-                ]
+            for planned, (session_result, sram_bits, snapshot) in zip(
+                plan.units, outcomes
+            ):
                 telemetry.merge_snapshot(snapshot)
                 result.sessions[planned.label] = session_result
                 if not result.sram_bits:

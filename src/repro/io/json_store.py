@@ -135,16 +135,19 @@ def campaign_to_dict(campaign: CampaignResult) -> dict:
     }
 
 
-def unit_payload(key: str, attempts: int, result) -> dict:
+def unit_payload(lease, report, result) -> dict:
     """Encode one finished work unit, ``_fly_session``'s *result*.
 
-    The journal line, the store commit and
-    :func:`campaign_dict_from_entries` all carry exactly this dict.
+    *lease* gives the unit's label and the supervisor's *report* its
+    attempt count; the signature is the ``encode`` of
+    :meth:`~repro.scheduler.Broker.settle`.  The journal line, the store
+    commit and :func:`campaign_dict_from_entries` all carry exactly
+    this dict.
     """
     session, sram_bits, snapshot = result
     return {
-        "key": key,
-        "attempts": attempts,
+        "key": lease.label,
+        "attempts": report.attempts,
         "sram_bits": sram_bits,
         "session": session_to_dict(session),
         "metrics": snapshot,

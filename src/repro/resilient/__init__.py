@@ -48,7 +48,7 @@ from .policy import (
     classify_failure,
 )
 from .runner import ResilientCampaign, ResilientRunReport
-from .supervisor import SupervisedExecutor, UnitFailure, UnitReport
+from .supervisor import SupervisedExecutor, UnitReport
 
 __all__ = [
     "ChaosFatalError",
@@ -70,6 +70,5 @@ __all__ = [
     "ResilientCampaign",
     "ResilientRunReport",
     "SupervisedExecutor",
-    "UnitFailure",
     "UnitReport",
 ]

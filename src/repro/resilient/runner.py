@@ -14,7 +14,10 @@ operational layer a multi-day beam campaign actually needs:
   byte-identical to the uninterrupted run's;
 * work units fly under :class:`~repro.resilient.SupervisedExecutor`
   (timeouts, retries, quarantine, parallel-to-serial degradation), so a
-  poison unit costs its own data, not the campaign's.
+  poison unit costs its own data, not the campaign's;
+* an in-memory broker is the run's only record of what finished: units
+  settle through :meth:`~repro.scheduler.Broker.drain`, as in
+  ``explore``, and ``campaign.json`` is assembled from its payloads.
 
 Telemetry: per-unit metric snapshots ride in the journal, so a resumed
 run's merged counters equal the uninterrupted run's (the resume itself
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..engine import CAMPAIGN_WARMUP, ExecutionContext
-from ..errors import ReproIOError, SupervisionError
+from ..errors import ReproIOError
 from ..harness.campaign import Campaign
 from ..io.json_store import campaign_dict_from_entries, unit_payload
 from ..io.results_dir import ResultsDirectory
@@ -127,13 +130,13 @@ class ResilientRunReport:
 class ResilientCampaign:
     """A :class:`Campaign` wrapped in checkpointing and supervision.
 
-    A finished unit is kept only as its encoded payload, built and
-    assembled by the same :mod:`repro.io.json_store` functions as in
-    ``serve``; the live session result is dropped.
+    A finished unit is kept only as its encoded payload, in the run's
+    broker, and assembled by the same :mod:`repro.io.json_store`
+    functions as in ``serve``; the live session result is dropped.
 
     Parameters
     ----------
-    plans / seed / time_scale / context / vectorized / tech_node:
+    context / tech_node:
         Exactly as for :class:`~repro.harness.campaign.Campaign`.
     policy:
         Supervision knobs (timeouts/retries/backoff/degradation).
@@ -147,11 +150,7 @@ class ResilientCampaign:
 
     def __init__(
         self,
-        plans=None,
-        seed: int = 2023,
-        time_scale: float = 1.0,
-        context: Optional[ExecutionContext] = None,
-        vectorized: bool = True,
+        context: ExecutionContext,
         policy: Optional[SupervisionPolicy] = None,
         workers: int = 0,
         chaos: Optional[ChaosSpec] = None,
@@ -159,27 +158,16 @@ class ResilientCampaign:
         tech_node: Optional[str] = None,
     ) -> None:
         # Reuse Campaign's plan preparation (time scaling, flux
-        # override, context handling, node scaling) so both runners fly
-        # literally the same plans from the same inputs.
-        self._campaign = Campaign(
-            plans=plans,
-            seed=seed,
-            time_scale=time_scale,
-            context=context,
-            vectorized=vectorized,
-            tech_node=tech_node,
-        )
-        self.tech_node = self._campaign.tech_node
-        self.context = self._campaign.context
+        # override, node scaling) so both runners fly literally the
+        # same plans from the same inputs.
+        self._campaign = Campaign(context=context, tech_node=tech_node)
+        self.context = context
         self.plans = self._campaign.plans
-        self.vectorized = vectorized
-        self.policy = policy or SupervisionPolicy()
-        self.workers = int(workers)
         self.chaos = chaos
         self.fsync = fsync
         self.executor = SupervisedExecutor(
-            policy=self.policy,
-            workers=self.workers,
+            policy=policy,
+            workers=workers,
             chaos=chaos,
             warmup=CAMPAIGN_WARMUP,
         )
@@ -249,37 +237,37 @@ class ResilientCampaign:
                 journal_path, header, fsync=self.fsync
             )
 
-        # Scheduling goes through the broker: the campaign is planned
-        # once (stable unit ids), journaled units are settled as
-        # recovered, and only the remainder is leased to the executor.
-        plan = self._campaign.plan_campaign(with_metrics=telemetry.enabled)
+        # The campaign is planned once (stable unit ids), journaled
+        # units are settled as recovered with their payloads, and only
+        # the remainder is leased to the executor.
+        plan = self._campaign.plan_campaign()
         broker = Broker(telemetry=telemetry)
         broker.submit(plan)
-        unit_ids = {unit.label: unit.unit_id for unit in plan.units}
-        for label in completed:
-            broker.mark_recovered(unit_ids[label], None)
+        reports: Dict[str, UnitReport] = {}
+        for unit in plan.units:
+            payload = completed.get(unit.label)
+            if payload is not None:
+                broker.mark_recovered(unit.unit_id, payload)
+                reports[unit.label] = UnitReport(
+                    key=unit.label,
+                    status="resumed",
+                    attempts=payload["attempts"],
+                    retries=0,
+                    timeouts=0,
+                )
 
-        fresh: Dict[str, dict] = {}
-        fresh_reports: Dict[str, UnitReport] = {}
-
-        def _checkpoint(
-            index: int, lease, report: UnitReport, result
-        ) -> None:
-            fresh_reports[report.key] = report
-            if report.ok:
-                payload = unit_payload(report.key, report.attempts, result)
-                journal.append_unit(JournalEntry(**payload))
-                fresh[report.key] = payload
-            if (
-                report.ok
-                and self.chaos is not None
-                and self.chaos.crash_after_units is not None
-                and len(completed) + len(fresh)
-                >= self.chaos.crash_after_units
-            ):
+        def _checkpoint(lease, report: UnitReport, payload) -> None:
+            reports[lease.label] = report
+            if payload is None:
+                return
+            journal.append_unit(JournalEntry(**payload))
+            if self.chaos is None or self.chaos.crash_after_units is None:
+                return
+            journaled = len(broker.entries_for(plan.submission_id))
+            if journaled >= self.chaos.crash_after_units:
                 raise SimulatedCrash(
-                    f"chaos: simulated crash after "
-                    f"{len(completed) + len(fresh)} journaled unit(s)"
+                    f"chaos: simulated crash after {journaled} journaled "
+                    f"unit(s)"
                 )
 
         try:
@@ -290,55 +278,20 @@ class ResilientCampaign:
             ):
                 broker.drain(
                     self.executor,
+                    unit_payload,
+                    on_settled=_checkpoint,
                     telemetry=self.context.telemetry,
-                    on_result=_checkpoint,
                 )
         finally:
             journal.close()
             self.executor.close()
 
-        return self._assemble(
-            completed, fresh, fresh_reports, telemetry, salvaged
-        )
-
-    # -- assembly ----------------------------------------------------------------
-
-    def _assemble(
-        self,
-        completed: Dict[str, dict],
-        fresh: Dict[str, dict],
-        fresh_reports: Dict[str, UnitReport],
-        telemetry,
-        salvaged: int,
-    ) -> ResilientRunReport:
-        entries: List[dict] = []
-        unit_reports: List[UnitReport] = []
-        for plan in self.plans:
-            label = plan.label
-            if label in completed:
-                payload = completed[label]
-                report = UnitReport(
-                    key=label,
-                    status="resumed",
-                    attempts=payload["attempts"],
-                    retries=0,
-                    timeouts=0,
-                )
-            else:
-                payload = fresh.get(label)
-                report = fresh_reports.get(label)
-                if report is None:
-                    raise SupervisionError(
-                        f"unit {label!r} neither completed nor reported"
-                    )
-            if payload is not None:
-                telemetry.merge_snapshot(payload["metrics"])
-                entries.append(payload)
-            unit_reports.append(report)
-
+        entries = broker.entries_for(plan.submission_id)
+        for entry in entries:
+            telemetry.merge_snapshot(entry["metrics"])
         return ResilientRunReport(
             campaign_dict=campaign_dict_from_entries(entries),
-            unit_reports=unit_reports,
+            unit_reports=[reports[label] for label in labels],
             resumed_units=len(completed),
             salvaged_lines=salvaged,
         )

@@ -16,11 +16,15 @@ on attempt 3 returns the byte-identical result it would have returned
 on attempt 1, and a campaign that survives injected faults produces
 byte-identical artifacts to one that never saw them.
 
-Results are delivered in submission order.  A quarantined unit yields a
-:class:`UnitFailure` sentinel in the result list (callers opt into
-strictness; the default keeps the rest of the campaign's data).  The
-optional ``on_result`` callback fires in submission order as each
-unit's fate is settled -- the checkpoint journal hangs off it.
+Results are delivered through one required callback,
+``on_result(index, report, result)``, exactly once per unit and in
+submission order; a quarantined unit arrives with ``result=None`` (the
+rest of the batch keeps flying).  ``map`` returns nothing and keeps no
+reference to a unit's result once its callback returns, so a caller
+that encodes and persists each result holds at most one live result at
+a time -- :meth:`repro.scheduler.Broker.settle` is that caller for
+``run``, ``explore`` and the broker pairings, and the service settles
+through its own locked callback.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from ..engine.executor import Executor, WorkUnit
+from ..engine.executor import WorkUnit
 from ..engine.pool import WarmupSpec, WorkerPool
 from ..errors import CampaignInterrupted, SupervisionError
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -45,19 +49,6 @@ from .policy import (
     UnitTimeoutError,
     classify_failure,
 )
-
-
-@dataclass(frozen=True)
-class UnitFailure:
-    """Sentinel result for a quarantined work unit."""
-
-    key: str
-    failure_class: FailureClass
-    attempts: int
-    error: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 @dataclass
@@ -134,7 +125,11 @@ def _run_in_thread(unit: WorkUnit, timeout_s: float) -> Any:
     raise payload
 
 
-class SupervisedExecutor(Executor):
+#: ``on_result(index, report, result)``; *result* is None when quarantined.
+OnResult = Callable[[int, UnitReport, Any], None]
+
+
+class SupervisedExecutor:
     """Fault-tolerant executor: the resilient layer's one run loop.
 
     Parameters
@@ -156,7 +151,7 @@ class SupervisedExecutor(Executor):
 
     The worker pool is a persistent :class:`~repro.engine.pool.
     WorkerPool`: it spawns lazily on the first parallel batch and is
-    reused across ``map()`` calls (service jobs, broker drain batches)
+    reused across ``map()`` calls (service jobs, broker settle batches)
     until :meth:`close`.  Supervision dispatches one future per unit --
     per-unit timeouts and retry budgets need per-unit completion, so
     this path deliberately skips chunked dispatch.
@@ -183,8 +178,6 @@ class SupervisedExecutor(Executor):
             if self.workers > 1
             else None
         )
-        #: Per-map reports, in submission order (inspected by callers).
-        self.last_reports: List[UnitReport] = []
 
     def close(self) -> None:
         """Release the worker processes (respawned lazily if reused)."""
@@ -196,16 +189,24 @@ class SupervisedExecutor(Executor):
     def map(
         self,
         units: Sequence[WorkUnit],
+        on_result: OnResult,
         telemetry: Optional[Telemetry] = None,
-        on_result: Optional[Callable[[int, UnitReport, Any], None]] = None,
-    ) -> List[Any]:
-        """Supervise a batch; results (or :class:`UnitFailure`) in order.
+    ) -> None:
+        """Supervise a batch, reporting each unit once through *on_result*.
 
         ``on_result(index, report, result)`` fires in submission order
-        as each unit settles -- for checkpoint journaling.
+        as each unit settles (``result`` is None for a quarantined
+        unit).  Nothing is returned and nothing is kept: once the
+        callback returns, the executor holds no reference to the result.
         """
         units = list(units)
         tele = telemetry if telemetry is not None else NULL_TELEMETRY
+
+        def deliver(index: int, report: UnitReport, result: Any) -> None:
+            if report.ok:
+                tele.count("engine.units")
+            on_result(index, report, result)
+
         with tele.span(
             "supervisor.map",
             executor=self.name,
@@ -213,12 +214,9 @@ class SupervisedExecutor(Executor):
             workers=self.workers,
         ):
             if self.workers > 1 and len(units) > 1:
-                results, reports = self._map_parallel(units, tele, on_result)
+                self._map_parallel(units, tele, deliver)
             else:
-                results, reports = self._map_serial(units, tele, on_result)
-        self.last_reports = reports
-        tele.count("engine.units", sum(1 for r in reports if r.ok))
-        return results
+                self._map_serial(units, tele, deliver)
 
     # -- shared supervision machinery --------------------------------------------
 
@@ -291,20 +289,14 @@ class SupervisedExecutor(Executor):
         self,
         units: Sequence[WorkUnit],
         tele: Telemetry,
-        on_result,
-    ):
-        results: List[Any] = []
-        reports: List[UnitReport] = []
+        on_result: OnResult,
+    ) -> None:
         for index, unit in enumerate(units):
-            result, report = self._supervise_one(_UnitState(unit=unit), tele)
-            results.append(result)
-            reports.append(report)
-            if on_result is not None:
-                on_result(index, report, result)
-        return results, reports
+            # No local holds the result: it lives only in the callback.
+            on_result(index, *self._supervise_one(_UnitState(unit=unit), tele))
 
     def _supervise_one(self, state: _UnitState, tele: Telemetry):
-        """Run one unit to completion in-process, honoring *state*.
+        """Run one unit to completion in-process; ``(report, result)``.
 
         Takes an existing :class:`_UnitState` (not just a unit) so the
         parallel-to-serial degradation path keeps the attempt/retry/
@@ -322,12 +314,7 @@ class SupervisedExecutor(Executor):
                 report = self._on_failure(state, exc, tele)
                 if report is None:
                     continue
-                result = UnitFailure(
-                    key=unit.key,
-                    failure_class=report.failure_class,
-                    attempts=report.attempts,
-                    error=report.error,
-                )
+                result = None
             else:
                 tele.observe(
                     "engine.unit_seconds",
@@ -341,7 +328,7 @@ class SupervisedExecutor(Executor):
                     timeouts=state.timeouts,
                 )
             state.done = True
-            return result, report
+            return report, result
 
     # -- parallel path -----------------------------------------------------------
 
@@ -349,11 +336,9 @@ class SupervisedExecutor(Executor):
         self,
         units: Sequence[WorkUnit],
         tele: Telemetry,
-        on_result,
-    ):
+        on_result: OnResult,
+    ) -> None:
         states = [_UnitState(unit=unit) for unit in units]
-        results: List[Any] = [None] * len(units)
-        reports: List[UnitReport] = [None] * len(units)  # type: ignore[list-item]
         breakages = 0
         degraded = False
         pool = self.pool
@@ -381,17 +366,17 @@ class SupervisedExecutor(Executor):
             except (OSError, ValueError, RuntimeError, ImportError):
                 # No process support at all: degrade immediately.
                 tele.count("resilient.degraded")
-                return self._map_serial(units, tele, on_result)
+                self._map_serial(units, tele, on_result)
+                return
 
             for index, state in enumerate(states):
+                result = None  # stays None for a quarantined unit
                 while not state.done:
                     if degraded:
                         # Continue the *same* _UnitState serially so the
                         # attempt/retry/timeout budget already burned in
                         # the pool carries over instead of resetting.
-                        results[index], reports[index] = self._supervise_one(
-                            state, tele
-                        )
+                        report, result = self._supervise_one(state, tele)
                         break
                     dispatch_started = time.perf_counter()
                     try:
@@ -417,9 +402,7 @@ class SupervisedExecutor(Executor):
                             f"{self.policy.timeout_s:.3f}s response timeout"
                         )
                         report = self._on_failure(state, timeout_exc, tele)
-                        if report is not None:
-                            self._finish_failed(state, report, results,
-                                                reports, index)
+                        state.done = report is not None
                         if not degraded:
                             _resubmit_pending()
                         continue
@@ -446,16 +429,14 @@ class SupervisedExecutor(Executor):
                         if report is None:
                             _submit(state)
                         else:
-                            self._finish_failed(state, report, results,
-                                                reports, index)
+                            state.done = True
                         continue
                     # Success.
                     tele.observe(
                         "engine.unit_seconds",
                         time.perf_counter() - dispatch_started,
                     )
-                    results[index] = result
-                    reports[index] = UnitReport(
+                    report = UnitReport(
                         key=state.unit.key,
                         status="ok",
                         attempts=state.attempt + 1,
@@ -463,8 +444,10 @@ class SupervisedExecutor(Executor):
                         timeouts=state.timeouts,
                     )
                     state.done = True
-                if on_result is not None:
-                    on_result(index, reports[index], results[index])
+                on_result(index, report, result)
+                # The callback owned the result; the future still holds
+                # it, so drop the future before waiting on the next unit.
+                state.future = None
         except BaseException:
             # Interrupt/SIGTERM path: release the processes instead of
             # keeping a half-cancelled pool warm.
@@ -475,24 +458,6 @@ class SupervisedExecutor(Executor):
             # reap whatever is left so nothing lingers next to the
             # serial continuation.
             pool.close(cancel=True)
-        return results, reports
-
-    @staticmethod
-    def _finish_failed(
-        state: _UnitState,
-        report: UnitReport,
-        results: List[Any],
-        reports: List[UnitReport],
-        index: int,
-    ) -> None:
-        results[index] = UnitFailure(
-            key=state.unit.key,
-            failure_class=report.failure_class,
-            attempts=report.attempts,
-            error=report.error,
-        )
-        reports[index] = report
-        state.done = True
 
     def __repr__(self) -> str:
         return (

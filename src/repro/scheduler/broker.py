@@ -18,7 +18,11 @@ payload each one came back with, never the live result:
   directory -- are detected (in-memory by status, cross-process by the
   store's exclusive commit) and discarded;
 * **cancel** drops a submission's pending units and marks it so its
-  results are never assembled.
+  results are never assembled;
+* **settle** runs a leased batch through a supervised executor and
+  completes each unit with the payload a caller's ``encode`` builds
+  (or fails it); **drain** settles until nothing is pending -- the one
+  settle path of ``run``, ``explore`` and the broker pairings.
 
 With a :class:`~repro.scheduler.store.DirectoryStore` attached, every
 commit also lands as an exclusive file in the shared directory and
@@ -46,7 +50,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..engine.executor import WorkUnit
 from ..errors import (
@@ -134,7 +138,7 @@ class Broker:
     ----------
     capacity:
         Maximum *queued* (pending) units across submissions; ``None``
-        is unbounded (the in-process ``Campaign.run()`` shim).  A
+        is unbounded (``run``, ``explore`` and the pairings).  A
         submission that would overflow is rejected whole with
         :class:`~repro.errors.SchedulerBusy` -- never partially queued.
     lease_ttl_s:
@@ -326,6 +330,9 @@ class Broker:
             if planned.unit_id in recovered:
                 self._set_status(record, DONE)
                 record.payload = recovered[planned.unit_id]
+                # An earlier incarnation of this broker killed between
+                # its commit and its lease clear left the lease behind.
+                self._clear_own_lease(planned.unit_id)
                 self.telemetry.count("scheduler.recovered")
             else:
                 self._push(record)
@@ -505,7 +512,7 @@ class Broker:
         """Settle a unit with its encoded payload; False for duplicates.
 
         The broker keeps the payload, never the live result.  A
-        store-backed broker requires it; an in-process drain omits it.
+        store-backed broker requires it; an in-memory one accepts None.
 
         Exactly-once: the first completion (in-memory) or the first
         exclusive store commit (shared directory) wins; every later
@@ -739,51 +746,57 @@ class Broker:
             ),
         }
 
-    # -- in-process drain (the Campaign.run shim's engine room) ------------------
+    # -- the settle path (run, explore, the broker pairings) ---------------------
+
+    def settle(
+        self,
+        leases: Sequence[Lease],
+        executor,
+        encode: Callable,
+        on_settled: Optional[Callable] = None,
+        telemetry=None,
+    ) -> None:
+        """Run one leased batch through a supervised executor; settle it.
+
+        As each unit reports, in submission order, an ok unit is
+        completed with ``encode(lease, report, result)`` as its payload
+        and a quarantined one is failed; ``on_settled(lease, report,
+        payload)`` then runs (``payload`` is None for a failed unit).
+        Settling comes first, so a callback that raises (a checkpoint
+        crash, SIGTERM) still leaves every reported unit settled.  The
+        live result is dropped once it is encoded.
+        """
+
+        def _settle(index: int, report, result) -> None:
+            lease = leases[index]
+            payload = None
+            if report.ok:
+                payload = encode(lease, report, result)
+                self.complete(lease, payload)
+            else:
+                self.fail(lease, report.error or "quarantined")
+            if on_settled is not None:
+                on_settled(lease, report, payload)
+
+        executor.map([lease.unit for lease in leases], _settle, telemetry)
 
     def drain(
-        self, executor, telemetry=None, on_result: Optional[Callable] = None
-    ) -> Dict[str, Any]:
-        """Lease-and-run everything pending through one executor.
+        self,
+        executor,
+        encode: Callable,
+        on_settled: Optional[Callable] = None,
+        telemetry=None,
+    ) -> None:
+        """Lease everything pending and :meth:`settle` it until none is.
 
-        With *on_result* the executor must support the supervised
-        ``on_result(index, report, result)`` protocol; units are then
-        settled (complete/fail) as each report arrives, in submission
-        order, before the caller's callback runs -- so a checkpoint
-        callback that raises (chaos, SIGTERM) still leaves every
-        settled unit settled.  The callback takes each result, so the
-        returned map is empty.  Without it, any plain
-        :class:`~repro.engine.Executor` works, units settle after the
-        batch returns, and the results come back keyed by unit id (the
-        ``Campaign.run()`` path).
+        A unit re-queued while settling (fenced, or a commit that kept
+        failing verification) is leased again on the next round.
 
-        Scheduling is span-free on purpose: the only span a drained
-        campaign opens around its units is the executor's own
-        ``executor.map``, keeping the telemetry tree of
-        ``Campaign.run()`` identical to the pre-broker one.
+        Scheduling is span-free on purpose: the only span a drain opens
+        around its units is the executor's own ``supervisor.map``.
         """
-        results: Dict[str, Any] = {}
         while True:
             leases = self.lease("in-process", limit=None)
             if not leases:
-                break
-            units = [lease.unit for lease in leases]
-            if on_result is not None:
-
-                def _settle(index: int, report, result) -> None:
-                    lease = leases[index]
-                    if report.ok:
-                        self.complete(lease)
-                    else:
-                        self.fail(
-                            lease, report.error or "quarantined"
-                        )
-                    on_result(index, lease, report, result)
-
-                executor.map(units, telemetry=telemetry, on_result=_settle)
-            else:
-                mapped = executor.map(units, telemetry=telemetry)
-                for lease, result in zip(leases, mapped):
-                    results[lease.unit_id] = result
-                    self.complete(lease)
-        return results
+                return
+            self.settle(leases, executor, encode, on_settled, telemetry)

@@ -250,7 +250,7 @@ class CampaignService:
         """Executor-thread callback: commit or fail one finished unit."""
         with self._lock:
             if report.ok:
-                payload = unit_payload(lease.label, report.attempts, result)
+                payload = unit_payload(lease, report, result)
                 if self.broker.complete(lease, payload=payload):
                     self.telemetry.merge_snapshot(payload["metrics"])
             else:
@@ -277,10 +277,10 @@ class CampaignService:
             await asyncio.to_thread(
                 self.executor.map,
                 [lease.unit for lease in leases],
-                telemetry=self.telemetry,
-                on_result=lambda index, report, result: self._settle(
+                lambda index, report, result: self._settle(
                     leases[index], report, result
                 ),
+                telemetry=self.telemetry,
             )
         finally:
             self._inflight = 0

@@ -495,22 +495,6 @@ class DifferentialRunner:
             CampaignSpec(seed=self.seed, time_scale=self.time_scale)
         )
 
-    @staticmethod
-    def _run_leases(broker, leases, executor) -> None:
-        """Fly one leased batch on a supervised pool; commit payloads."""
-
-        def settle(index, report, result):
-            lease = leases[index]
-            if report.ok:
-                broker.complete(
-                    lease,
-                    payload=unit_payload(lease.label, report.attempts, result),
-                )
-            else:
-                broker.fail(lease, report.error or "failed")
-
-        executor.map([lease.unit for lease in leases], on_result=settle)
-
     def _drain_in_batches(self, broker, worker: str, batch: int = 2) -> None:
         # One warm executor across every lease batch: the pairing then
         # proves pool *reuse* (not just pooled execution) preserves
@@ -523,7 +507,7 @@ class DifferentialRunner:
                 leases = broker.lease(worker, limit=batch)
                 if not leases:
                     break
-                self._run_leases(broker, leases, executor)
+                broker.settle(leases, executor, unit_payload)
         finally:
             executor.close()
 
@@ -585,8 +569,8 @@ class DifferentialRunner:
             policy=SupervisionPolicy(backoff_s=0.0), workers=2
         )
         try:
-            self._run_leases(
-                broker_a, broker_a.lease("dead", limit=2), executor_a
+            broker_a.settle(
+                broker_a.lease("dead", limit=2), executor_a, unit_payload
             )
         finally:
             executor_a.close()
@@ -686,7 +670,7 @@ class DifferentialRunner:
                 ):
                     leases = broker.lease(worker, limit=2)
                     if leases:
-                        self._run_leases(broker, leases, executor)
+                        broker.settle(leases, executor, unit_payload)
         finally:
             executor.close()
         assembled_a = self._assembled_json(broker_a, plan_a)

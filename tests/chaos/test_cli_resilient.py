@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import EXIT_INTERRUPTED, EXIT_STRICT_FAILURES, main
 
+from .. import cli_process
+
 SCALE = ["--seed", "11", "--time-scale", "0.002"]
 
 
@@ -77,6 +79,36 @@ class TestCrashAndResume:
         )
         assert code == 1
         assert "different campaign" in capsys.readouterr().err
+
+
+class TestRealSignal:
+    def test_sigterm_then_resume_byte_identical(self, tmp_path, capsys):
+        # A real SIGTERM once the journal holds its first unit line:
+        # exit 143 with a resume hint, and the resumed campaign.json
+        # equals an uninterrupted run's.
+        flags = ["--seed", "2023", "--time-scale", "0.2"]
+        outdir = str(tmp_path / "killed")
+        journal = os.path.join(outdir, "journal.jsonl")
+
+        def first_unit_journaled():
+            try:
+                with open(journal, "rb") as handle:
+                    return handle.read().count(b"\n") >= 2  # header + unit
+            except OSError:
+                return False
+
+        proc = cli_process.spawn(["run", outdir] + flags)
+        code, _, err = cli_process.signal_when(proc, first_unit_journaled)
+        assert code == EXIT_INTERRUPTED, err
+        assert not os.path.exists(os.path.join(outdir, "campaign.json"))
+
+        argv = cli_process.resume_argv(err)
+        assert "--resume" in argv
+        assert main(argv) == 0
+        assert "resumed" in capsys.readouterr().out
+        reference = str(tmp_path / "uninterrupted")
+        assert main(["run", reference] + flags) == 0
+        assert read_bytes(outdir) == read_bytes(reference)
 
 
 class TestFreshGuard:

@@ -2,12 +2,14 @@
 
 Units here are tiny pure functions (module-level so they pickle into
 pool workers); the faults come exclusively from a deterministic
-:class:`ChaosSpec`, exactly as the CI chaos job drives the real
+:class:`ChaosSpec`, exactly as ``run --chaos`` drives the real
 campaign.
 """
 
+import gc
 import multiprocessing
 import time
+import weakref
 
 import pytest
 
@@ -17,13 +19,23 @@ from repro.resilient import (
     FailureClass,
     SupervisedExecutor,
     SupervisionPolicy,
-    UnitFailure,
 )
 from repro.telemetry import Telemetry
 
 
 def _square(x):
     return x * x
+
+
+class _Box:
+    """A result that can be weakly referenced (module-level: pickles)."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _boxed(x):
+    return _Box(x)
 
 
 def units(n=3):
@@ -43,10 +55,26 @@ def make_executor(workers=1, chaos=None, sleep=no_sleep, **policy_kwargs):
     )
 
 
+def supervise(executor, batch, telemetry=None):
+    """Map *batch*; the ``(reports, results)`` on_result delivered.
+
+    Asserts the contract on the way: one callback per unit, in
+    submission order, and ``map`` itself returns nothing.
+    """
+    seen = []
+    returned = executor.map(
+        batch,
+        lambda index, report, result: seen.append((index, report, result)),
+        telemetry=telemetry,
+    )
+    assert returned is None
+    assert [index for index, _, _ in seen] == list(range(len(batch)))
+    return [report for _, report, _ in seen], [result for _, _, result in seen]
+
+
 class TestCleanRuns:
     def test_matches_serial_executor(self):
-        batch = units()
-        supervised = make_executor().map(batch)
+        _, supervised = supervise(make_executor(), units())
         plain = SerialExecutor().map(units())
         assert supervised == plain == [0, 1, 4]
 
@@ -54,28 +82,49 @@ class TestCleanRuns:
         # Acceptance criterion: with no faults firing, supervision is
         # invisible -- no retries, no quarantines, nothing counted.
         telemetry = Telemetry()
-        make_executor().map(units(), telemetry=telemetry)
+        supervise(make_executor(), units(), telemetry=telemetry)
         counters = telemetry.metrics.counter_values()
         assert not any(k.startswith("resilient.") for k in counters)
         assert counters["engine.units"] == 3
 
     def test_reports_in_submission_order(self):
-        executor = make_executor()
-        executor.map(units())
-        assert [r.key for r in executor.last_reports] == [
-            "unit0", "unit1", "unit2",
-        ]
-        assert all(r.ok and r.attempts == 1 for r in executor.last_reports)
+        reports, results = supervise(make_executor(), units())
+        assert [r.key for r in reports] == ["unit0", "unit1", "unit2"]
+        assert all(r.ok and r.attempts == 1 for r in reports)
+        assert results == [0, 1, 4]
 
     def test_on_result_fires_in_order(self):
         seen = []
         make_executor().map(
             units(),
-            on_result=lambda index, report, result: seen.append(
+            lambda index, report, result: seen.append(
                 (index, report.key, result)
             ),
         )
         assert seen == [(0, "unit0", 0), (1, "unit1", 1), (2, "unit2", 4)]
+
+
+class TestRetention:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_no_result_outlives_its_callback(self, workers):
+        # Once on_result returns, the executor must hold nothing of that
+        # unit: a caller that encodes each result keeps one live result.
+        executor = make_executor(workers=workers)
+        refs, alive = [], []
+
+        def on_result(index, report, result):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(result))
+
+        batch = [
+            WorkUnit(key=f"unit{i}", fn=_boxed, args=(i,)) for i in range(4)
+        ]
+        try:
+            executor.map(batch, on_result)
+        finally:
+            executor.close()
+        assert alive == [[], [False], [False] * 2, [False] * 3]
 
 
 class TestRetries:
@@ -83,9 +132,9 @@ class TestRetries:
         chaos = ChaosSpec(units={"unit1": ("raise", "ok")})
         telemetry = Telemetry()
         executor = make_executor(chaos=chaos)
-        results = executor.map(units(), telemetry=telemetry)
+        reports, results = supervise(executor, units(), telemetry=telemetry)
         assert results == [0, 1, 4]
-        report = executor.last_reports[1]
+        report = reports[1]
         assert report.ok and report.attempts == 2 and report.retries == 1
         counters = telemetry.metrics.counter_values()
         assert counters["resilient.failures{unit_class=appcrash}"] == 1
@@ -101,7 +150,7 @@ class TestRetries:
             backoff_s=0.1,
             max_backoff_s=10.0,
         )
-        assert executor.map(units(1)) == [0]
+        assert supervise(executor, units(1))[1] == [0]
         assert slept == [0.1, 0.2]
         assert slept == executor.policy.backoff_schedule()[: len(slept)]
 
@@ -109,11 +158,10 @@ class TestRetries:
         chaos = ChaosSpec(units={"unit2": ("raise", "raise", "raise")})
         telemetry = Telemetry()
         executor = make_executor(chaos=chaos, max_retries=2)
-        results = executor.map(units(), telemetry=telemetry)
-        assert results[:2] == [0, 1]
-        failure = results[2]
-        assert isinstance(failure, UnitFailure)
-        assert not failure  # falsy sentinel
+        reports, results = supervise(executor, units(), telemetry=telemetry)
+        assert results == [0, 1, None]  # a quarantined unit has no result
+        failure = reports[2]
+        assert failure.status == "quarantined" and not failure.ok
         assert failure.attempts == 3
         assert failure.failure_class is FailureClass.APP_CRASH
         counters = telemetry.metrics.counter_values()
@@ -127,12 +175,11 @@ class TestQuarantine:
         chaos = ChaosSpec(units={"unit1": ("fatal", "ok")})
         telemetry = Telemetry()
         executor = make_executor(chaos=chaos)
-        results = executor.map(units(), telemetry=telemetry)
-        failure = results[1]
-        assert isinstance(failure, UnitFailure)
-        assert failure.attempts == 1  # the "ok" second attempt never ran
-        assert failure.failure_class is FailureClass.SDC
-        report = executor.last_reports[1]
+        reports, results = supervise(executor, units(), telemetry=telemetry)
+        assert results[1] is None
+        report = reports[1]
+        assert report.attempts == 1  # the "ok" second attempt never ran
+        assert report.failure_class is FailureClass.SDC
         assert report.status == "quarantined" and report.retries == 0
         counters = telemetry.metrics.counter_values()
         assert counters["resilient.quarantined{unit_class=sdc}"] == 1
@@ -140,9 +187,9 @@ class TestQuarantine:
 
     def test_batch_survives_a_poison_unit(self):
         chaos = ChaosSpec(units={"unit0": ("fatal",)})
-        results = make_executor(chaos=chaos).map(units())
-        assert isinstance(results[0], UnitFailure)
-        assert results[1:] == [1, 4]
+        reports, results = supervise(make_executor(chaos=chaos), units())
+        assert reports[0].status == "quarantined"
+        assert results == [None, 1, 4]
 
 
 class TestTimeouts:
@@ -150,9 +197,9 @@ class TestTimeouts:
         chaos = ChaosSpec(units={"unit1": ("hang", "ok")}, hang_s=0.5)
         telemetry = Telemetry()
         executor = make_executor(chaos=chaos, timeout_s=0.05)
-        results = executor.map(units(), telemetry=telemetry)
+        reports, results = supervise(executor, units(), telemetry=telemetry)
         assert results == [0, 1, 4]
-        report = executor.last_reports[1]
+        report = reports[1]
         assert report.ok and report.timeouts == 1 and report.retries == 1
         counters = telemetry.metrics.counter_values()
         assert counters["resilient.timeouts"] == 1
@@ -163,15 +210,16 @@ class TestTimeouts:
         executor = make_executor(
             chaos=chaos, timeout_s=0.05, max_retries=1
         )
-        results = executor.map(units(1))
-        failure = results[0]
-        assert isinstance(failure, UnitFailure)
-        assert failure.failure_class is FailureClass.SYS_CRASH
+        reports, results = supervise(executor, units(1))
+        assert results == [None]
+        assert reports[0].status == "quarantined"
+        assert reports[0].failure_class is FailureClass.SYS_CRASH
 
 
 class TestParallel:
     def test_clean_parallel_matches_serial(self):
-        assert make_executor(workers=2).map(units(4)) == [0, 1, 4, 9]
+        _, results = supervise(make_executor(workers=2), units(4))
+        assert results == [0, 1, 4, 9]
 
     def test_killed_worker_breaks_pool_and_recovers(self):
         # 'kill' hard-exits the worker; the supervisor restarts the
@@ -179,12 +227,12 @@ class TestParallel:
         chaos = ChaosSpec(units={"unit1": ("kill", "ok")})
         telemetry = Telemetry()
         executor = make_executor(workers=2, chaos=chaos)
-        results = executor.map(units(4), telemetry=telemetry)
+        reports, results = supervise(executor, units(4), telemetry=telemetry)
         assert results == [0, 1, 4, 9]
         counters = telemetry.metrics.counter_values()
         assert counters["resilient.pool_breakages"] >= 1
         # Innocent units never pay for the breakage with retry budget.
-        assert all(r.ok for r in executor.last_reports)
+        assert all(r.ok for r in reports)
 
     def test_breakage_budget_exceeded_degrades_to_serial(self):
         chaos = ChaosSpec(units={"unit0": ("kill", "ok")})
@@ -192,7 +240,7 @@ class TestParallel:
         executor = make_executor(
             workers=2, chaos=chaos, max_pool_breakages=0
         )
-        results = executor.map(units(3), telemetry=telemetry)
+        _, results = supervise(executor, units(3), telemetry=telemetry)
         # Under serial execution 'kill' degrades to a transient raise,
         # so the retry budget rescues the unit and the batch completes.
         assert results == [0, 1, 4]
@@ -203,7 +251,7 @@ class TestParallel:
         chaos = ChaosSpec(units={"unit1": ("hang", "ok")}, hang_s=2.0)
         telemetry = Telemetry()
         executor = make_executor(workers=2, chaos=chaos, timeout_s=0.2)
-        results = executor.map(units(3), telemetry=telemetry)
+        _, results = supervise(executor, units(3), telemetry=telemetry)
         assert results == [0, 1, 4]
         counters = telemetry.metrics.counter_values()
         assert counters["resilient.timeouts"] >= 1
@@ -216,7 +264,7 @@ class TestParallel:
         # patience, so only an actual kill lets the children drain.
         chaos = ChaosSpec(units={"unit0": ("hang", "ok")}, hang_s=60.0)
         executor = make_executor(workers=2, chaos=chaos, timeout_s=0.2)
-        results = executor.map(units(2))
+        _, results = supervise(executor, units(2))
         assert results == [0, 1]
         # Healthy workers stay warm for the next batch by design;
         # close() reaps them so only a genuinely hung (unkilled) worker
@@ -242,9 +290,9 @@ class TestParallel:
         executor = make_executor(
             workers=2, chaos=chaos, timeout_s=0.2, max_pool_breakages=0
         )
-        results = executor.map(units(2), telemetry=telemetry)
+        reports, results = supervise(executor, units(2), telemetry=telemetry)
         assert results == [0, 1]
-        report = executor.last_reports[0]
+        report = reports[0]
         assert report.ok
         assert report.attempts == 2 and report.retries == 1
         assert report.timeouts == 1

@@ -5,9 +5,13 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import main
-from repro.codecs import SweepSpec, plan_sweep, run_cell, sweep_cells
+from repro.codecs import SweepSpec, plan_sweep, run_cell, sweep, sweep_cells
 from repro.scheduler import Broker, DirectoryStore
+
+from .. import cli_process
+from ..test_cli import _signalled
 
 TINY = [
     "--codecs",
@@ -21,6 +25,28 @@ TINY = [
     "--seed",
     "7",
 ]
+
+
+#: A sweep across two technology nodes (4 cells).
+CROSS_NODE = [
+    "--codecs",
+    "secded",
+    "--points",
+    "980:950,920:920",
+    "--workloads",
+    "CG",
+    "--node",
+    "xgene2-28,7nm",
+    "--strikes",
+    "1000",
+    "--seed",
+    "2023",
+]
+
+
+def read_bytes(outdir, name):
+    with open(os.path.join(outdir, name), "rb") as handle:
+        return handle.read()
 
 
 def tiny_spec():
@@ -37,6 +63,13 @@ def tiny_spec():
 def explored(tmp_path_factory):
     outdir = str(tmp_path_factory.mktemp("explore") / "sweep")
     assert main(["explore", outdir] + TINY) == 0
+    return outdir
+
+
+@pytest.fixture(scope="module")
+def cross_node(tmp_path_factory):
+    outdir = str(tmp_path_factory.mktemp("cross-node") / "sweep")
+    assert main(["explore", outdir] + CROSS_NODE) == 0
     return outdir
 
 
@@ -62,12 +95,17 @@ class TestArtifacts:
         store = DirectoryStore(os.path.join(explored, "scheduler"))
         assert len(store.committed_units()) == 4
 
-    def test_summary_printed(self, explored, capsys):
-        # Re-run via --resume to observe the summary line cheaply.
-        assert main(["explore", explored, "--resume"] + TINY) == 0
-        out = capsys.readouterr().out
-        assert "recovered 4 committed cell(s)" in out
-        assert "pareto front" in out
+    def test_summary_printed(self, explored, cross_node, capsys):
+        # Re-run via --resume to observe the summary line cheaply; a
+        # resume of a finished sweep flies nothing and changes nothing.
+        for outdir, flags in ((explored, TINY), (cross_node, CROSS_NODE)):
+            before = read_bytes(outdir, "pareto.json")
+            assert main(["explore", outdir, "--resume"] + flags) == 0
+            out = capsys.readouterr().out
+            assert "recovered 4 committed cell(s)" in out
+            assert "cell(s) committed" not in out
+            assert "pareto front" in out
+            assert read_bytes(outdir, "pareto.json") == before
 
 
 class TestGuards:
@@ -97,15 +135,17 @@ class TestDeterminism:
                 second = handle.read()
             assert first == second, name
 
-    def test_parallel_matches_serial(self, explored, tmp_path):
-        outdir = str(tmp_path / "par")
-        assert main(["explore", outdir, "--workers", "4"] + TINY) == 0
-        for name in ("pareto.json", "fit_cells.csv"):
-            with open(os.path.join(explored, name), "rb") as handle:
-                serial = handle.read()
-            with open(os.path.join(outdir, name), "rb") as handle:
-                parallel = handle.read()
-            assert serial == parallel, name
+    def test_parallel_matches_serial(self, explored, cross_node, tmp_path):
+        for index, (serial, flags) in enumerate(
+            ((explored, TINY), (cross_node, CROSS_NODE))
+        ):
+            outdir = str(tmp_path / f"par{index}")
+            assert main(["explore", outdir, "--workers", "4"] + flags) == 0
+            for name in ("pareto.json", "fit_cells.csv"):
+                assert read_bytes(serial, name) == read_bytes(outdir, name), (
+                    flags,
+                    name,
+                )
 
     def test_mid_sweep_resume_matches_full_run(self, explored, tmp_path):
         # Simulate a killed sweep: commit the first two cells through
@@ -136,3 +176,82 @@ class TestDeterminism:
         assert "recovered" not in out.splitlines()[-10:]
         store = DirectoryStore(os.path.join(outdir, "scheduler"))
         assert len(store.committed_units()) == 4
+
+    def test_interrupted_fresh_leaves_no_old_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        # --fresh discards the old sweep's results before the first
+        # cell, so an interrupted fresh sweep cannot leave them beside
+        # a store of the new one.
+        outdir = str(tmp_path / "fresh-interrupted")
+        assert main(["explore", outdir] + TINY) == 0
+        monkeypatch.setattr(cli, "_interruptible", _signalled)
+        code = main(["explore", outdir, "--fresh"] + TINY)
+        assert code == cli.EXIT_INTERRUPTED
+        for name in ("pareto.json", "fit_cells.csv"):
+            assert not os.path.exists(os.path.join(outdir, name)), name
+
+
+class TestFailingCell:
+    def test_failed_cell_spares_the_rest_and_resumes(
+        self, explored, tmp_path, monkeypatch, capsys
+    ):
+        poison = sweep_cells(tiny_spec())[1].label
+        real_run_cell = sweep.run_cell
+
+        def poisoned(cell):
+            if cell.label == poison:
+                raise RuntimeError("poisoned cell")
+            return real_run_cell(cell)
+
+        monkeypatch.setattr(sweep, "run_cell", poisoned)
+        outdir = str(tmp_path / "poisoned")
+        assert main(["explore", outdir] + TINY) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cell {poison}: RuntimeError: poisoned cell"
+        ]
+        assert captured.out.count("cell(s) committed") == 3
+        assert not os.path.exists(os.path.join(outdir, "pareto.json"))
+        store = DirectoryStore(os.path.join(outdir, "scheduler"))
+        assert len(store.committed_units()) == 3
+
+        monkeypatch.undo()
+        assert main(["explore", outdir, "--resume"] + TINY) == 0
+        assert "recovered 3 committed cell(s)" in capsys.readouterr().out
+        for name in ("pareto.json", "fit_cells.csv"):
+            assert read_bytes(outdir, name) == read_bytes(explored, name)
+
+
+class TestRealSignal:
+    def test_sigterm_then_printed_resume_matches_full_sweep(self, tmp_path):
+        # A real SIGTERM as the first commit lands leaves the unflown
+        # cells leased to the dead process; the printed --resume must
+        # take them over at once, not wait out the lease.
+        flags = [
+            "--codecs", "parity,secded",
+            "--points", "980:950,790:950",
+            "--workloads", "CG,FT",
+            "--strikes", "300000",
+            "--seed", "13",
+        ]
+        outdir = str(tmp_path / "killed")
+        commits = os.path.join(outdir, "scheduler", "commits")
+
+        def first_commit():
+            return os.path.isdir(commits) and any(
+                name.endswith(".json") for name in os.listdir(commits)
+            )
+
+        proc = cli_process.spawn(["explore", outdir] + flags)
+        code, _, err = cli_process.signal_when(proc, first_commit)
+        assert code == cli.EXIT_INTERRUPTED, err
+        assert not os.path.exists(os.path.join(outdir, "pareto.json"))
+
+        assert main(cli_process.resume_argv(err)) == 0
+        leases = os.path.join(outdir, "scheduler", "leases")
+        assert os.listdir(leases) == []
+        reference = str(tmp_path / "uninterrupted")
+        assert main(["explore", reference] + flags) == 0
+        for name in ("pareto.json", "fit_cells.csv"):
+            assert read_bytes(outdir, name) == read_bytes(reference, name)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.engine import SerialExecutor
 from repro.errors import LeaseError, SchedulerBusy, SchedulerError
+from repro.resilient import SupervisedExecutor
 from repro.scheduler import Broker, DirectoryStore
 from repro.telemetry import Telemetry
 
@@ -216,6 +216,25 @@ class TestStoreIntegration:
             "n": 1,
         }
 
+    def test_recovery_clears_a_dead_incarnations_lease(
+        self, tmp_path, clock
+    ):
+        # Killed after its commit landed but before it cleared its
+        # lease: the next broker under the same id adopts the commit
+        # and leaves no lease on a finished unit.
+        store = DirectoryStore(str(tmp_path / "s"), clock=clock)
+        dead = Broker(store=store, clock=clock, broker_id="explore")
+        dead.submit(make_plan(1))
+        (lease,) = lease_all(dead)
+        store.try_commit(
+            lease.unit_id, {"key": "u0"}, epoch=dead.epoch, owner="explore"
+        )
+        assert store.read_lease(lease.unit_id) is not None
+        successor = Broker(store=store, clock=clock, broker_id="explore")
+        successor.submit(make_plan(1))
+        assert successor.unit_status(lease.unit_id) == "done"
+        assert store.read_lease(lease.unit_id) is None
+
     def test_two_brokers_never_double_commit(self, tmp_path, clock):
         store = DirectoryStore(str(tmp_path / "s"), clock=clock)
         a = Broker(store=store, clock=clock, broker_id="a", lease_ttl_s=5.0)
@@ -243,24 +262,34 @@ class TestStoreIntegration:
         assert len(lease_all(b, worker="b")) == 1  # takeover
 
 
+def encode(lease, report, result):
+    return {"key": lease.label, "value": result}
+
+
 class TestDrain:
     def test_drain_runs_everything_in_order(self, clock):
         broker = Broker(clock=clock)
         plan = make_plan(4)
         broker.submit(plan)
-        results = broker.drain(SerialExecutor())
-        assert [results[u.unit_id] for u in plan.units] == [0, 10, 20, 30]
+        settled = []
+        broker.drain(
+            SupervisedExecutor(),
+            encode,
+            lambda lease, report, payload: settled.append(payload),
+        )
+        assert [p["value"] for p in settled] == [0, 10, 20, 30]
+        assert broker.entries_for(plan.submission_id) == settled
         assert broker.is_complete(plan.submission_id)
 
     def test_drain_is_span_free(self, clock):
-        # The shim's telemetry contract: scheduling adds counters, never
-        # spans -- Campaign.run's tree must stay campaign.run/executor.map.
+        # Scheduling adds counters, never spans: the only span around
+        # the units is the supervised executor's own.
         telemetry = Telemetry()
         broker = Broker(clock=clock, telemetry=telemetry)
         broker.submit(make_plan(2))
-        broker.drain(SerialExecutor(), telemetry=telemetry)
+        broker.drain(SupervisedExecutor(), encode, telemetry=telemetry)
         paths = set(telemetry.tracer.stage_durations())
-        assert paths == {"executor.map"}
+        assert paths == {"supervisor.map"}
         counters = telemetry.metrics.counter_values()
         assert counters["scheduler.leased"] == 2
         assert counters["scheduler.completed"] == 2

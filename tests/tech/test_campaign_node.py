@@ -7,9 +7,11 @@ fly byte-identically to no node at all.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.cli import main
 from repro.codecs.sweep import SweepSpec, run_cell, sweep_cells
 from repro.errors import SchedulerError
 from repro.harness.campaign import Campaign
@@ -123,6 +125,18 @@ class TestScaledPlans:
             (1350, 545, 655),
         ]
         assert node.nominal_freq_mhz == 3600
+
+
+class TestNodeRun:
+    def test_seven_nm_run_exits_zero(self, tmp_path):
+        outdir = str(tmp_path / "7nm")
+        argv = ["run", outdir, "--seed", "2023", "--time-scale", "0.01"]
+        assert main(argv + ["--node", "7nm"]) == 0
+        with open(os.path.join(outdir, "campaign.json")) as handle:
+            sessions = json.load(handle)["sessions"]
+        assert sorted(sessions) == [
+            "session1", "session2", "session3", "session4",
+        ]
 
 
 class TestSweepNodeAxis:
