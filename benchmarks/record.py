@@ -39,6 +39,9 @@ sys.path.insert(1, REPO_ROOT)  # for `benchmarks.*` imports
 
 REPEATS = 5
 
+#: Fresh interpreters the start-up suite launches.
+STARTUP_LAUNCHES = 11
+
 
 def _timed(fn: Callable[[], object]) -> float:
     """Median wall seconds of *fn* over REPEATS runs (1 warmup)."""
@@ -207,11 +210,53 @@ def measure_tech() -> Dict[str, float]:
     }
 
 
+#: Run in a fresh interpreter: time ``import repro.cli``, then report
+#: what it loaded and the peak RSS (``ru_maxrss`` is in KiB on Linux).
+_STARTUP_PROBE = """
+import json, resource, sys, time
+started = time.perf_counter()
+import repro.cli
+elapsed = time.perf_counter() - started
+top = [name.split(".")[0] for name in sys.modules]
+print(json.dumps({
+    "import_s": elapsed,
+    "repro": top.count("repro"),
+    "scipy": top.count("scipy"),
+    "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def measure_startup() -> Dict[str, float]:
+    """What every verb pays before its first strike: ``import repro.cli``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    launches = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _STARTUP_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        for _ in range(STARTUP_LAUNCHES)
+    ]
+    maxrss_kib = statistics.median(run["maxrss_kib"] for run in launches)
+    return {
+        "import_cli_s": statistics.median(run["import_s"] for run in launches),
+        "repro_modules": float(launches[0]["repro"]),
+        "scipy_modules": float(launches[0]["scipy"]),
+        "maxrss_mb": maxrss_kib / 1024,
+    }
+
+
 SUITES: Dict[str, Callable[[], Dict[str, float]]] = {
     "engine": measure_engine,
     "scheduler": measure_scheduler,
     "codecs": measure_codecs,
     "tech": measure_tech,
+    "startup": measure_startup,
 }
 
 

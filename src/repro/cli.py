@@ -114,6 +114,7 @@ from . import __version__
 from .core.analysis import CampaignAnalysis
 from .core.report import Table
 from .engine import ExecutionContext
+from .engine.executor import worker_count
 from .errors import (
     CampaignInterrupted,
     ConfigurationError,
@@ -637,7 +638,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     # Every cell re-enters the same codecs; warming their tables once
     # per worker keeps the pool's reuse win honest.
     executor = SupervisedExecutor(
-        workers=max(args.workers, 0),  # --workers <= 1 runs serially
+        workers=args.workers,
         warmup=WarmupSpec(codecs=tuple(spec.codecs)),
     )
     axes = (
@@ -1024,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=0,
         help="sessions to fly concurrently (0/1 = serial)",
     )
@@ -1179,7 +1180,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--name", default=None, help="display name")
     explore.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=0,
         help="cells to run concurrently (0/1 = serial; pareto.json is "
         "byte-identical either way)",
@@ -1206,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("root")
     serve.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=2,
         help="supervised worker processes per batch (default: 2)",
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..constants import PMD_NOMINAL_MV, VOLTAGE_STEP_MV
 from ..errors import AnalysisError
@@ -53,7 +53,7 @@ class VminPopulation:
     def violation_probability(self, fleet_voltage_mv: float) -> float:
         """P(a random chip's Vmin exceeds the fleet setting)."""
         z = (fleet_voltage_mv - self.mean_mv) / self.sigma_mv
-        return float(stats.norm.sf(z))
+        return float(special.ndtr(-z))  # scipy.stats.norm.sf
 
     def fleet_safe_voltage_mv(
         self, violation_target: float = 1e-4, step_mv: int = VOLTAGE_STEP_MV
@@ -61,9 +61,8 @@ class VminPopulation:
         """Lowest grid voltage whose violation probability is under target."""
         if not 0 < violation_target < 1:
             raise AnalysisError("violation target must be in (0, 1)")
-        quantile = self.mean_mv + self.sigma_mv * stats.norm.isf(
-            violation_target
-        )
+        upper_z = -special.ndtri(violation_target)  # scipy.stats.norm.isf
+        quantile = self.mean_mv + self.sigma_mv * upper_z
         # Round *up* to the regulator grid: safety is one-sided.
         steps = -(-quantile // step_mv)
         voltage = int(steps * step_mv)

@@ -26,6 +26,7 @@ differential suite's broker pairings fly their units under
 
 from __future__ import annotations
 
+import argparse
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -197,3 +198,17 @@ def resolve_executor(
     if workers is None or workers <= 1:
         return SerialExecutor()
     return ParallelExecutor(workers, warmup=warmup)
+
+
+def worker_count(text: str) -> int:
+    """The argparse ``type`` of every verb's ``--workers`` option.
+
+    A negative count is a usage error (exit 2) on every verb; 0 and 1
+    run serially.
+    """
+    workers = int(text)
+    if workers < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be nonnegative (0 or 1 runs serially), got {workers}"
+        )
+    return workers

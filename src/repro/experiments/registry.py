@@ -7,6 +7,7 @@ import inspect
 import sys
 from typing import Callable, Dict, Optional
 
+from ..engine.executor import worker_count
 from ..errors import ConfigurationError, ReproError
 from ..telemetry import Telemetry, console_summary
 from . import (
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=worker_count,
         default=0,
         help="campaign sessions to fly concurrently (0/1 = serial)",
     )

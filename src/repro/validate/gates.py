@@ -26,10 +26,11 @@ emit them too), so one report format covers all three suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Sequence, Tuple
 
-from scipy import stats
+from scipy import special
 
 from ..core.confidence import (
     ConfidenceInterval,
@@ -95,6 +96,17 @@ class GateResult:
 # -- Poisson gates -------------------------------------------------------------
 
 
+def _poisson_ppf(q: float, mean: float) -> int:
+    """``scipy.stats.poisson.ppf(q, mean)`` for ``0 < q < 1``, ``mean > 0``.
+
+    scipy's own step: invert the CDF with ``pdtrik``, round up, then
+    step back one count if the CDF there already reaches *q*.
+    """
+    count = math.ceil(special.pdtrik(q, mean))
+    below = max(count - 1, 0)
+    return below if special.pdtr(below, mean) >= q else count
+
+
 def poisson_bounds(mean: float, epsilon: float = DEFAULT_EPSILON) -> Tuple[int, int]:
     """Central ``1 - 2*epsilon`` acceptance interval for a Poisson count."""
     if mean < 0:
@@ -103,9 +115,10 @@ def poisson_bounds(mean: float, epsilon: float = DEFAULT_EPSILON) -> Tuple[int, 
         raise ValidationError("epsilon must be in (0, 0.5)")
     if mean == 0:
         return (0, 0)
-    lower = int(stats.poisson.ppf(epsilon, mean))
-    upper = int(stats.poisson.ppf(1.0 - epsilon, mean))
-    return lower, upper
+    if 1.0 - epsilon == 1.0:
+        # The upper quantile is 1: no finite count bounds the tail.
+        raise ValidationError(f"epsilon {epsilon:g} is below float resolution")
+    return _poisson_ppf(epsilon, mean), _poisson_ppf(1.0 - epsilon, mean)
 
 
 def poisson_count_gate(
@@ -181,8 +194,8 @@ def poisson_dispersion_gate(
             detail="zero-mean degenerate case",
         )
     dispersion = sum((c - mean) ** 2 for c in counts) / mean
-    p_lower = float(stats.chi2.cdf(dispersion, n - 1))
-    p_upper = float(stats.chi2.sf(dispersion, n - 1))
+    p_lower = float(special.chdtr(n - 1, dispersion))  # chi2.cdf
+    p_upper = float(special.chdtrc(n - 1, dispersion))  # chi2.sf
     p_value = 2.0 * min(p_lower, p_upper)
     return GateResult(
         gate=name,

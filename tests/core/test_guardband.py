@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.guardband import VminPopulation, per_chip_advantage_mv
 from repro.errors import AnalysisError
@@ -42,6 +43,39 @@ class TestFleetVoltage:
     def test_target_validation(self, population):
         with pytest.raises(AnalysisError):
             population.fleet_safe_voltage_mv(violation_target=0.0)
+
+
+class TestMatchesScipyStats:
+    """The normal tail calls equal ``scipy.stats.norm``'s, bit for bit."""
+
+    POPULATIONS = [
+        VminPopulation(mean_mv=mean, sigma_mv=sigma)
+        for mean in (900.0, 917.0, 931.3, 970.0)
+        for sigma in (0.7, 5.0, 12.0, 30.0)
+    ]
+
+    def test_violation_probability(self):
+        voltages = np.linspace(700.0, 1_100.0, 4_001)
+        for pop in self.POPULATIONS:
+            z = (voltages - pop.mean_mv) / pop.sigma_mv
+            got = [pop.violation_probability(v) for v in voltages.tolist()]
+            assert got == stats.norm.sf(z).tolist()
+
+    def test_fleet_safe_voltage(self):
+        targets = np.r_[
+            np.geomspace(1e-300, 0.5, 1_500), np.linspace(0.5, 1.0, 502)[1:-1]
+        ]
+        for pop in self.POPULATIONS:
+            quantiles = pop.mean_mv + pop.sigma_mv * stats.norm.isf(targets)
+            for step in (1, 5):
+                expected = [
+                    min(int(-(-q // step) * step), int(pop.nominal_mv))
+                    for q in quantiles
+                ]
+                got = [
+                    pop.fleet_safe_voltage_mv(t, step) for t in targets.tolist()
+                ]
+                assert got == expected
 
 
 class TestGuardbandRecovery:

@@ -10,6 +10,7 @@ import pytest
 from repro import cli
 from repro.cli import build_parser, main
 from repro.errors import CampaignInterrupted
+from repro.experiments import registry
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,30 @@ class TestParser:
     def test_bad_stats_format_rejected(self, stored_campaign):
         with pytest.raises(SystemExit):
             main(["stats", stored_campaign, "--format", "xml"])
+
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            (main, ["run", "OUT"]),
+            (main, ["explore", "OUT"]),
+            (main, ["serve", "ROOT"]),
+            (registry.main, ["table2"]),
+        ],
+        ids=["run", "explore", "serve", "repro-experiment"],
+    )
+    def test_negative_workers_is_a_usage_error(
+        self, entry, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            entry([*argv, "--workers", "-1"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(
+            "error: argument --workers: must be nonnegative "
+            "(0 or 1 runs serially), got -1"
+        )
+        assert not os.listdir(tmp_path)  # refused before touching OUT
 
 
 @contextmanager

@@ -1,6 +1,8 @@
 """Unit tests for the statistical acceptance gates."""
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro.errors import ValidationError
 from repro.validate import (
@@ -14,6 +16,7 @@ from repro.validate import (
     proportion_gate,
 )
 from repro.core.confidence import poisson_rate_interval
+from repro.validate.gates import DEFAULT_EPSILON
 
 
 class TestPoissonBounds:
@@ -34,6 +37,9 @@ class TestPoissonBounds:
             poisson_bounds(-1.0)
         with pytest.raises(ValidationError):
             poisson_bounds(10.0, epsilon=0.7)
+        # 1 - 1e-20 rounds to 1: the upper tail has no finite bound.
+        with pytest.raises(ValidationError):
+            poisson_bounds(10.0, epsilon=1e-20)
 
 
 class TestPoissonCountGate:
@@ -79,6 +85,72 @@ class TestDispersionGate:
     def test_needs_two_counts(self):
         with pytest.raises(ValidationError):
             poisson_dispersion_gate("g", [5])
+
+
+class TestMatchesScipyStats:
+    """The gates' quantiles equal the ``scipy.stats`` calls they replaced.
+
+    Checked with ``==``, not approx: the gates evaluate the
+    ``scipy.special`` ufuncs that ``scipy.stats`` wraps.
+    """
+
+    def test_poisson_bounds_for_means_up_to_1e4(self):
+        means = np.unique(
+            np.r_[
+                np.geomspace(1e-9, 1.0, 2_000),
+                np.linspace(1e-3, 1e4, 20_000),
+                np.arange(1, 10_001, dtype=float),
+                np.arange(1, 10_001) - 0.5,
+            ]
+        )
+        lower = stats.poisson.ppf(DEFAULT_EPSILON, means).astype(int).tolist()
+        upper = stats.poisson.ppf(1.0 - DEFAULT_EPSILON, means).astype(int).tolist()
+        bounds = [poisson_bounds(float(mean)) for mean in means]
+        assert [b[0] for b in bounds] == lower
+        assert [b[1] for b in bounds] == upper
+
+    def test_poisson_bounds_at_cdf_values(self):
+        # At epsilon = CDF(k), ceil(pdtrik) lands one count high about half
+        # the time; scipy's pdtr step brings it back, and so must the gate.
+        cases = []
+        for mean in np.geomspace(0.01, 1e4, 60):
+            ks = np.arange(int(mean + 8 * mean**0.5 + 8))
+            cdf = stats.poisson.cdf(ks, mean)
+            # Past float resolution (1 - eps == 1) the bounds are refused;
+            # test_invalid_args_rejected covers that.
+            cases += [(mean, eps) for eps in cdf[(cdf > 1e-16) & (cdf < 0.5)]]
+        means, eps = np.array(cases).T
+        lower = stats.poisson.ppf(eps, means).astype(int).tolist()
+        upper = stats.poisson.ppf(1.0 - eps, means).astype(int).tolist()
+        bounds = [poisson_bounds(*case) for case in cases]
+        assert len(bounds) > 5_000
+        assert [b[0] for b in bounds] == lower
+        assert [b[1] for b in bounds] == upper
+
+    def test_dispersion_gate_p_values(self):
+        # The gate passes iff p >= alpha, so passing at alpha = p_ref and
+        # failing at the next float above pins p == p_ref exactly.
+        rng = np.random.default_rng(2025)
+        samples = [[7] * 5, [100] * 10, [10, 400, 15, 380, 12]]
+        for n in (2, 3, 5, 10, 40):
+            for mean in (0.3, 4.0, 100.0, 5_000.0):
+                samples += [rng.poisson(mean, n).tolist() for _ in range(20)]
+        checked = 0
+        for counts in samples:
+            n = len(counts)
+            cbar = sum(counts) / n
+            if cbar == 0:
+                continue
+            dispersion = sum((c - cbar) ** 2 for c in counts) / cbar
+            p_ref = 2.0 * min(
+                float(stats.chi2.cdf(dispersion, n - 1)),
+                float(stats.chi2.sf(dispersion, n - 1)),
+            )
+            assert poisson_dispersion_gate("g", counts, alpha=p_ref).ok
+            above = float(np.nextafter(p_ref, np.inf))
+            assert not poisson_dispersion_gate("g", counts, alpha=above).ok
+            checked += 1
+        assert checked > 350
 
 
 class TestProportionGate:
