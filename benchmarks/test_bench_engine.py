@@ -3,13 +3,15 @@
 Two claims ride on the ``repro.engine`` layer:
 
 * the vectorized injector hot path is >= 3x faster than the scalar
-  reference path (the ISSUE acceptance criterion) -- asserted;
+  reference path -- asserted on the median of alternating rounds, so
+  one preempted exposure, or always running first, cannot decide it;
 * parallel campaign execution is recorded serial-vs-parallel in
   events/sec but NOT asserted to win: CI boxes (and this sandbox) may
   expose a single core, where process-pool overhead necessarily loses.
   Correctness (bit-identity) is asserted in tests/engine/ instead.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -22,11 +24,16 @@ from repro.soc.xgene2 import XGene2
 #: Beam-time per injector exposure measurement (simulated hours).
 EXPOSURE_HOURS = 20.0
 
+#: Injector timing rounds, one speedup each; the median is asserted.
+ROUNDS = 11
+
 #: Campaign scale for the executor comparison.
 CAMPAIGN_SCALE = 0.05
 
 
 def _expose_events_per_sec(vectorized: bool) -> tuple:
+    # A fresh chip per exposure: a chip reused across rounds grows its
+    # EDAC log, and that allocation pressure must not bias one side.
     injector = BeamInjector(XGene2(), vectorized=vectorized)
     rng = np.random.default_rng(2023)
     started = time.perf_counter()
@@ -46,19 +53,26 @@ def test_bench_vectorized_injector(benchmark):
     summary = benchmark(expose)
     assert summary.total_upsets > 800  # ~1.01/min over 20 h
 
-    vec_rate, vec_events, vec_s = _expose_events_per_sec(vectorized=True)
-    sca_rate, sca_events, sca_s = _expose_events_per_sec(vectorized=False)
-    speedup = vec_rate / sca_rate
+    speedups = []
+    for round_index in range(ROUNDS):
+        if round_index % 2:
+            sca_rate, sca_events, sca_s = _expose_events_per_sec(False)
+            vec_rate, vec_events, vec_s = _expose_events_per_sec(True)
+        else:
+            vec_rate, vec_events, vec_s = _expose_events_per_sec(True)
+            sca_rate, sca_events, sca_s = _expose_events_per_sec(False)
+        speedups.append(vec_rate / sca_rate)
+    speedup = statistics.median(speedups)
     print(
         f"\nvectorized: {vec_events} events in {vec_s * 1e3:.1f} ms "
         f"({vec_rate:,.0f} events/s)"
         f"\nscalar:     {sca_events} events in {sca_s * 1e3:.1f} ms "
         f"({sca_rate:,.0f} events/s)"
-        f"\nspeedup:    {speedup:.1f}x"
+        f"\nper-round speedup: {min(speedups):.1f}x to {max(speedups):.1f}x"
+        f"\nmedian speedup:    {speedup:.1f}x"
     )
     # Both paths sample the same distributions.
     assert vec_events == pytest.approx(sca_events, rel=0.15)
-    # The ISSUE acceptance criterion.
     assert speedup >= 3.0
 
 

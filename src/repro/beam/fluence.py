@@ -8,10 +8,7 @@ radiation" row of Table 2.
 
 from __future__ import annotations
 
-from ..constants import (
-    NYC_FLUX_PER_CM2_HOUR,
-    SIGNIFICANT_FLUENCE,
-)
+from ..constants import NYC_FLUX_PER_CM2_HOUR
 from ..errors import BeamError
 from ..units import hours_to_years, seconds_to_hours
 
@@ -51,10 +48,6 @@ class FluenceAccount:
     def exposure_minutes(self) -> float:
         """Accumulated beam-on time, minutes."""
         return self._seconds / 60.0
-
-    def is_significant(self, threshold: float = SIGNIFICANT_FLUENCE) -> bool:
-        """True once the ESCC-25100 fluence threshold is reached."""
-        return self._fluence >= threshold
 
     def nyc_equivalent_years(self) -> float:
         """Years of natural NYC sea-level irradiation with equal fluence."""

@@ -66,23 +66,3 @@ class PositioningModel:
             return 1.0
         frac = rng.normal(self.halo_fraction, self.halo_fraction_sigma)
         return float(np.clip(frac, 0.0, 1.0))
-
-    def repositioning_spread(
-        self, rng: np.random.Generator, measurements: int = 6
-    ) -> "tuple[float, float]":
-        """Simulate the paper's six halo measurements.
-
-        Returns the sample mean and standard deviation of the measured
-        attenuation fractions over *measurements* independent
-        re-insertions, mirroring the calibration procedure of
-        Section 3.4.
-        """
-        if measurements < 2:
-            raise BeamError("need at least two measurements for a spread")
-        samples = np.array(
-            [
-                self.sample_attenuation(BeamPosition.HALO, rng)
-                for _ in range(measurements)
-            ]
-        )
-        return float(samples.mean()), float(samples.std(ddof=1))

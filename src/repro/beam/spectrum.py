@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..constants import TNF_THERMAL_FRACTION
 from ..errors import BeamError
 
@@ -44,47 +42,3 @@ class NeutronSpectrum:
             raise BeamError("spectrum index must exceed 1 for a finite integral")
         if not 0 <= self.thermal_fraction < 1:
             raise BeamError("thermal fraction must be in [0, 1)")
-
-    def differential_flux(self, energy_mev: np.ndarray) -> np.ndarray:
-        """Unnormalized dPhi/dE at the given energies (zero out of range)."""
-        energy_mev = np.asarray(energy_mev, dtype=float)
-        flux = np.where(
-            (energy_mev >= self.e_min_mev) & (energy_mev <= self.e_max_mev),
-            energy_mev ** (-self.gamma),
-            0.0,
-        )
-        return flux
-
-    def fraction_above(self, threshold_mev: float) -> float:
-        """Fraction of the fast fluence above *threshold_mev*.
-
-        Analytic integral of the power law; thresholds below e_min count
-        the whole fast component.
-        """
-        if threshold_mev >= self.e_max_mev:
-            return 0.0
-        lo = max(threshold_mev, self.e_min_mev)
-        g1 = 1.0 - self.gamma
-        total = self.e_max_mev ** g1 - self.e_min_mev ** g1
-        above = self.e_max_mev ** g1 - lo ** g1
-        return float(above / total)
-
-    def mean_energy_mev(self) -> float:
-        """Fluence-weighted mean energy of the fast component."""
-        g1 = 1.0 - self.gamma
-        g2 = 2.0 - self.gamma
-        num = (self.e_max_mev ** g2 - self.e_min_mev ** g2) / g2
-        den = (self.e_max_mev ** g1 - self.e_min_mev ** g1) / g1
-        return float(num / den)
-
-    def sample_energies(
-        self, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Draw neutron energies (MeV) by inverse-CDF of the power law."""
-        if size < 0:
-            raise BeamError("sample size must be nonnegative")
-        u = rng.random(size)
-        g1 = 1.0 - self.gamma
-        lo = self.e_min_mev ** g1
-        hi = self.e_max_mev ** g1
-        return (lo + u * (hi - lo)) ** (1.0 / g1)

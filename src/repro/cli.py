@@ -85,8 +85,12 @@ Subcommands::
         surfacing the verdict in status.json.
 
     repro-campaign submit ROOT [--spec FILE | --seed N --time-scale X
-                               --priority P --name NAME] [--wait [S]]
+                               --priority P --max-workers N
+                               --tech-node NODE --name NAME]
+                               [--url URL] [--wait [S]]
         Queue one campaign spec (job file drop, or --url for HTTP).
+        The campaign always flies Table 2's session plans at their own
+        flux through the vectorized injector.
         Submissions dedupe on the config hash; a full queue is refused
         with exit 5 (SchedulerBusy) and nothing enqueued.
 
@@ -723,8 +727,6 @@ def _spec_from_args(args: argparse.Namespace):
     return CampaignSpec(
         seed=args.seed,
         time_scale=args.time_scale,
-        flux_per_cm2_s=args.flux,
-        vectorized=not args.no_vectorized,
         priority=args.priority,
         max_workers=args.max_workers,
         tech_node=args.tech_node,
@@ -1291,6 +1293,9 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a campaign spec to a service root (exit 5 when the "
         "queue is full)",
+        description="Queue one campaign spec. Every campaign flies Table "
+        "2's session plans at their own flux through the vectorized "
+        "injector.",
     )
     submit.add_argument("root")
     submit.add_argument(
@@ -1301,13 +1306,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--seed", type=int, default=2023)
     submit.add_argument("--time-scale", type=float, default=0.2)
-    submit.add_argument(
-        "--flux",
-        type=float,
-        default=None,
-        metavar="F",
-        help="campaign-wide flux override (particles/cm^2/s)",
-    )
     submit.add_argument(
         "--priority",
         type=int,
@@ -1332,11 +1330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default: the 28 nm X-Gene 2)",
     )
     submit.add_argument("--name", default=None, help="display name")
-    submit.add_argument(
-        "--no-vectorized",
-        action="store_true",
-        help="use the scalar injector realization path",
-    )
     submit.add_argument(
         "--url",
         default=None,

@@ -14,7 +14,7 @@ from .confidence import (
     binomial_interval,
     ConfidenceInterval,
 )
-from .cross_section import DcsEstimate, dynamic_cross_section, per_bit_cross_section
+from .cross_section import DcsEstimate, dynamic_cross_section
 from .fit import (
     FitEstimate,
     fit_from_dcs,
@@ -38,23 +38,9 @@ from .comparison import (
     ReferenceStudy,
     is_consistent_with_reference,
     masking_factor,
-    scale_ser_per_bit,
 )
 from .reporting import CampaignReport
-from .ensemble import (
-    HEADLINE_METRICS,
-    MetricDistribution,
-    coefficient_of_variation,
-    run_ensemble,
-)
-from .timeline import (
-    ArrivalCheck,
-    check_interarrivals,
-    dispersion_index,
-    expected_multiplicity,
-    multi_event_run_fraction,
-    run_multiplicity_histogram,
-)
+from .timeline import ArrivalCheck, check_interarrivals
 
 __all__ = [
     "poisson_interval",
@@ -63,7 +49,6 @@ __all__ = [
     "ConfidenceInterval",
     "DcsEstimate",
     "dynamic_cross_section",
-    "per_bit_cross_section",
     "FitEstimate",
     "fit_from_dcs",
     "fit_rate",
@@ -87,16 +72,7 @@ __all__ = [
     "ReferenceStudy",
     "is_consistent_with_reference",
     "masking_factor",
-    "scale_ser_per_bit",
     "CampaignReport",
-    "HEADLINE_METRICS",
-    "MetricDistribution",
-    "coefficient_of_variation",
-    "run_ensemble",
     "ArrivalCheck",
     "check_interarrivals",
-    "dispersion_index",
-    "expected_multiplicity",
-    "multi_event_run_fraction",
-    "run_multiplicity_histogram",
 ]

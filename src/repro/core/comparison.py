@@ -85,43 +85,15 @@ def masking_factor(
 def is_consistent_with_reference(
     measured_ser: float,
     reference: ReferenceStudy,
-    max_masking: float = 0.95,
 ) -> bool:
     """The paper's soundness check (Section 3.5), as a predicate.
 
     A workload-driven SER is consistent with a static reference when it
-    sits *below* it but not implausibly far below (masking above
-    ``max_masking`` would mean the campaign barely saw the memory).
+    sits *below* it but not implausibly far below (masking above 0.95
+    would mean the campaign barely saw the memory).
     """
     if not reference.static_test:
         raise AnalysisError("consistency check needs a static-test reference")
     if measured_ser > reference.ser_fit_per_mbit:
         return False
-    return masking_factor(measured_ser, reference.ser_fit_per_mbit) <= max_masking
-
-
-def scale_ser_per_bit(
-    ser_fit_per_mbit: float,
-    from_node_nm: int,
-    to_node_nm: int,
-    per_node_slope: float = 0.92,
-) -> float:
-    """Extrapolate per-bit SER across process nodes.
-
-    Seifert's historical data [66, 67] shows per-bit SRAM SER roughly
-    *flat to slightly decreasing* per technology generation (smaller
-    collection volume offsets smaller Qcrit); ``per_node_slope`` is the
-    per-generation multiplier (a generation being a ~0.7x linear
-    shrink).  Chip-level SER still grows because integration doubles the
-    bit count per generation.
-    """
-    if ser_fit_per_mbit <= 0:
-        raise AnalysisError("SER must be positive")
-    if from_node_nm <= 0 or to_node_nm <= 0:
-        raise AnalysisError("nodes must be positive")
-    if per_node_slope <= 0:
-        raise AnalysisError("slope must be positive")
-    import math
-
-    generations = math.log(from_node_nm / to_node_nm, 1.0 / 0.7)
-    return ser_fit_per_mbit * per_node_slope ** generations
+    return masking_factor(measured_ser, reference.ser_fit_per_mbit) <= 0.95

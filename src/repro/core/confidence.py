@@ -39,11 +39,6 @@ class ConfidenceInterval:
         if not 0 < self.level < 1:
             raise AnalysisError("confidence level must be in (0, 1)")
 
-    @property
-    def halfwidth(self) -> float:
-        """Half the interval span (the symmetric error-bar length)."""
-        return 0.5 * (self.upper - self.lower)
-
     def scaled(self, factor: float) -> "ConfidenceInterval":
         """Scale the whole interval (e.g. counts -> rates -> FIT)."""
         if factor < 0:

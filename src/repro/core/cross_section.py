@@ -39,12 +39,6 @@ class DcsEstimate:
         """Point estimate of the cross-section, cm^2."""
         return self.interval.value
 
-    def per_bit(self, bits: int) -> float:
-        """Cross-section normalized per bit, cm^2/bit."""
-        if bits <= 0:
-            raise AnalysisError("bit count must be positive")
-        return self.cm2 / bits
-
 
 def dynamic_cross_section(
     events: int,
@@ -60,15 +54,3 @@ def dynamic_cross_section(
     return DcsEstimate(
         events=events, fluence_per_cm2=fluence_per_cm2, interval=interval
     )
-
-
-def per_bit_cross_section(
-    events: int, fluence_per_cm2: float, bits: int
-) -> float:
-    """Per-bit cross-section, cm^2/bit -- the Section 3.3 sanity metric.
-
-    The paper expects ~1e-15 cm^2/bit for 28 nm SRAM; the reproduction's
-    Table 2 sessions land below that because workload masking hides a
-    fraction of raw upsets.
-    """
-    return dynamic_cross_section(events, fluence_per_cm2).per_bit(bits)

@@ -74,24 +74,6 @@ class EnergyModel:
         )
         return watts * self.runtime_s(reference_runtime_s, point)
 
-    def energy_delay_product(
-        self, reference_runtime_s: float, point: OperatingPoint
-    ) -> float:
-        """EDP = energy x runtime (J*s), the usual efficiency figure."""
-        runtime = self.runtime_s(reference_runtime_s, point)
-        return self.energy_joules(reference_runtime_s, point) * runtime
-
-    def savings_vs(
-        self,
-        reference_runtime_s: float,
-        point: OperatingPoint,
-        baseline: OperatingPoint,
-    ) -> float:
-        """Fractional energy savings of *point* over *baseline*."""
-        base = self.energy_joules(reference_runtime_s, baseline)
-        here = self.energy_joules(reference_runtime_s, point)
-        return (base - here) / base
-
 
 @dataclass(frozen=True)
 class CandidatePoint:

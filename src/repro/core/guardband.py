@@ -50,11 +50,6 @@ class VminPopulation:
 
     # -- population statistics ------------------------------------------------
 
-    def violation_probability(self, fleet_voltage_mv: float) -> float:
-        """P(a random chip's Vmin exceeds the fleet setting)."""
-        z = (fleet_voltage_mv - self.mean_mv) / self.sigma_mv
-        return float(special.ndtr(-z))  # scipy.stats.norm.sf
-
     def fleet_safe_voltage_mv(
         self, violation_target: float = 1e-4, step_mv: int = VOLTAGE_STEP_MV
     ) -> int:

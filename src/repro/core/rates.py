@@ -22,21 +22,6 @@ class RateEstimate:
         """Point estimate, events per minute."""
         return self.interval.value
 
-    @property
-    def per_hour(self) -> float:
-        """Point estimate, events per hour."""
-        return self.per_minute * 60.0
-
-    def relative_to(self, baseline: "RateEstimate") -> float:
-        """Rate ratio against a baseline (the susceptibility multiplier)."""
-        if baseline.per_minute <= 0:
-            raise AnalysisError("baseline rate must be positive")
-        return self.per_minute / baseline.per_minute
-
-    def increase_percent(self, baseline: "RateEstimate") -> float:
-        """Percentage increase over a baseline (Fig. 10's y-axis)."""
-        return (self.relative_to(baseline) - 1.0) * 100.0
-
 
 def rate_per_minute(
     events: int, minutes: float, level: float = CONFIDENCE_LEVEL

@@ -78,20 +78,6 @@ class TradeoffSeries:
             if p.susceptibility_increase_pct > p.power_savings_pct
         ]
 
-    def marginal_ratios(self) -> List[float]:
-        """Per-step (delta susceptibility)/(delta savings) ratios."""
-        ratios = []
-        for prev, here in zip(self.points, self.points[1:]):
-            d_savings = here.power_savings_pct - prev.power_savings_pct
-            d_susc = (
-                here.susceptibility_increase_pct
-                - prev.susceptibility_increase_pct
-            )
-            if d_savings == 0:
-                raise AnalysisError("degenerate savings step in series")
-            ratios.append(d_susc / d_savings)
-        return ratios
-
 
 def build_tradeoff_series(
     power_model: Optional[PowerModel] = None,

@@ -1,13 +1,13 @@
 """Unified execution layer: contexts, work units and executors.
 
 Every batch-shaped workload in the reproduction -- the four-session
-campaign, multi-seed ensembles, vmin characterization sweeps,
-microarchitectural FI batches -- used to carry its own ad-hoc run loop
-and its own seed/time-scale plumbing.  This package centralizes both:
+campaign, vmin characterization sweeps, microarchitectural FI batches
+-- used to carry its own ad-hoc run loop and its own seed/time-scale
+plumbing.  This package centralizes both:
 
-* :class:`ExecutionContext` bundles the root seed, the time scale, an
-  optional campaign-wide flux override and an optional telemetry sink,
-  and hands out deterministic derived seeds/streams.
+* :class:`ExecutionContext` bundles the root seed, the time scale and
+  an optional telemetry sink, and hands out deterministic derived
+  seeds/streams.
 * :class:`WorkUnit` is one picklable unit of work (a top-level function
   plus arguments), labeled with a stable key.
 * :class:`SerialExecutor` runs units in order in-process;

@@ -1,11 +1,11 @@
-"""Execution context: the seed/time-scale/flux bundle shared by all runners.
+"""Execution context: the seed/time-scale bundle shared by all runners.
 
-Before the engine existed, every runner (campaign, ensemble, vmin,
-microarch FI) accepted its own loose ``seed``/``time_scale`` pair and
-derived streams its own way.  :class:`ExecutionContext` is the single
-carrier for that state: it is immutable, picklable (so it can ride
-inside a :class:`~repro.engine.executor.WorkUnit` to another process),
-and derives child seeds/streams with the same stable hashing used by
+Before the engine existed, every runner (campaign, vmin, microarch FI)
+accepted its own loose ``seed``/``time_scale`` pair and derived streams
+its own way.  :class:`ExecutionContext` is the single carrier for that
+state: it is immutable, picklable (so it can ride inside a
+:class:`~repro.engine.executor.WorkUnit` to another process), and
+derives child seeds/streams with the same stable hashing used by
 :class:`~repro.rng.RngStreams`, so the same ``(seed, name, qualifiers)``
 triple always yields the same stream no matter which process asks.
 """
@@ -33,9 +33,6 @@ class ExecutionContext:
         Root seed; every stochastic draw of the run derives from it.
     time_scale:
         Fraction of nominal beam/run time (1.0 = full length).
-    flux_per_cm2_s:
-        Optional campaign-wide beam-flux override; ``None`` keeps each
-        plan's own flux.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink runners
         record metrics and spans into.  It lives only on the submitting
@@ -44,14 +41,11 @@ class ExecutionContext:
 
     seed: int = 2023
     time_scale: float = 1.0
-    flux_per_cm2_s: Optional[float] = None
     telemetry: Optional[Telemetry] = None
 
     def __post_init__(self) -> None:
         if self.time_scale <= 0:
             raise EngineError("time scale must be positive")
-        if self.flux_per_cm2_s is not None and self.flux_per_cm2_s < 0:
-            raise EngineError("flux override must be nonnegative")
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -81,6 +75,5 @@ class ExecutionContext:
     def __repr__(self) -> str:
         return (
             f"ExecutionContext(seed={self.seed}, "
-            f"time_scale={self.time_scale}, "
-            f"flux_per_cm2_s={self.flux_per_cm2_s})"
+            f"time_scale={self.time_scale})"
         )

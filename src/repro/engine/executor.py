@@ -17,7 +17,7 @@ execution; an exception raised by a unit function itself is re-raised
 to the caller -- it is the unit's genuine result, not a pool problem.
 
 Consumers: ``Campaign.run()``, the ``repro-experiment`` drivers, vmin
-characterization, microarchitectural FI batches and the seed ensemble.
+characterization and microarchitectural FI batches.
 The verbs that checkpoint (``run``, ``explore``, ``serve``) and the
 differential suite's broker pairings fly their units under
 :class:`~repro.resilient.SupervisedExecutor` instead, settled through

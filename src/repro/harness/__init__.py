@@ -20,7 +20,6 @@ from .session import BeamSession, SessionPlan, SessionResult, TABLE2_SESSION_PLA
 from .campaign import Campaign, CampaignResult
 from .logbook import Logbook, LogEntry
 from .availability import (
-    AvailabilityModel,
     CheckpointModel,
     UndervoltingVerdict,
     undervolting_verdict,
@@ -47,7 +46,6 @@ __all__ = [
     "CampaignResult",
     "Logbook",
     "LogEntry",
-    "AvailabilityModel",
     "CheckpointModel",
     "UndervoltingVerdict",
     "undervolting_verdict",

@@ -155,28 +155,3 @@ def undervolting_verdict(
         raw_savings_fraction=raw,
         net_savings_fraction=net,
     )
-
-
-@dataclass(frozen=True)
-class AvailabilityModel:
-    """Steady-state availability from crash rate and repair time."""
-
-    repair_hours: float = 0.05  # ~3 minutes to power-cycle and reboot
-
-    def __post_init__(self) -> None:
-        if self.repair_hours <= 0:
-            raise AnalysisError("repair time must be positive")
-
-    def availability(
-        self, crash_fit: float, environment_factor: float = 1.0
-    ) -> float:
-        """A = MTBF / (MTBF + MTTR)."""
-        mtbf = CheckpointModel.mtbf_hours(crash_fit, environment_factor)
-        return mtbf / (mtbf + self.repair_hours)
-
-    def downtime_minutes_per_year(
-        self, crash_fit: float, environment_factor: float = 1.0
-    ) -> float:
-        """Expected yearly downtime at the given crash rate."""
-        unavailable = 1.0 - self.availability(crash_fit, environment_factor)
-        return unavailable * 365.25 * 24 * 60

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..engine import ExecutionContext, Executor, SerialExecutor, WorkUnit
+from ..engine import ExecutionContext, Executor, SerialExecutor
 from ..errors import SessionError
 from ..rng import RngStreams
 from ..soc.xgene2 import XGene2
@@ -48,13 +48,6 @@ class CampaignResult:
         if label not in self.sessions:
             raise SessionError(f"no such session: {label!r}")
         return self.sessions[label]
-
-    def by_pmd_voltage(self) -> Dict[int, SessionResult]:
-        """Sessions keyed by their PMD voltage."""
-        return {
-            result.plan.point.pmd_mv: result
-            for result in self.sessions.values()
-        }
 
     def labels(self) -> List[str]:
         """Session labels in insertion (flight) order."""
@@ -113,12 +106,10 @@ def _fly_session(
 
 
 class Campaign:
-    """Runs a list of session plans with deterministic seeding.
+    """Flies Table 2's four session plans with deterministic seeding.
 
     Parameters
     ----------
-    plans:
-        Session plans to fly (defaults to Table 2's four).
     seed:
         Root seed; every stochastic draw of the campaign derives
         from it.  Ignored when *context* is given.
@@ -132,11 +123,12 @@ class Campaign:
         ``ParallelExecutor(4)`` to fly the four sessions concurrently).
     context:
         Full :class:`~repro.engine.ExecutionContext`; supersedes the
-        loose *seed*/*time_scale* pair and can carry a campaign-wide
-        flux override plus a telemetry sink.
+        loose *seed*/*time_scale* pair and can carry a telemetry sink.
     vectorized:
         Select the injector realization path (see
-        :class:`~repro.injection.injector.BeamInjector`).
+        :class:`~repro.injection.injector.BeamInjector`).  Only the
+        ``injector`` differential pairing flies the scalar path, as the
+        vectorized path's reference.
     tech_node:
         Optional registered technology-node name.  A non-default node
         scales every plan's operating point onto the node's grid and
@@ -147,7 +139,6 @@ class Campaign:
 
     def __init__(
         self,
-        plans: Optional[List[SessionPlan]] = None,
         seed: int = 2023,
         time_scale: float = 1.0,
         executor: Optional[Executor] = None,
@@ -170,15 +161,10 @@ class Campaign:
                 # differential pairing pins this).
                 node = None
         self.tech_node = node.name if node is not None else None
-        base_plans = plans if plans is not None else TABLE2_SESSION_PLANS
+        base_plans = TABLE2_SESSION_PLANS
         if context.time_scale != 1.0:
             base_plans = [
                 scaled_plan(p, context.time_scale) for p in base_plans
-            ]
-        if context.flux_per_cm2_s is not None:
-            base_plans = [
-                replace(p, flux_per_cm2_s=context.flux_per_cm2_s)
-                for p in base_plans
             ]
         if node is not None:
             base_plans = [
@@ -198,7 +184,10 @@ class Campaign:
         data = {
             "seed": self.context.seed,
             "time_scale": self.context.time_scale,
-            "flux_per_cm2_s": self.context.flux_per_cm2_s,
+            # The campaign-wide flux override is gone, but its unset
+            # value stays in the hashed dict so every submission id,
+            # manifest and store keyed on this hash keeps its identity.
+            "flux_per_cm2_s": None,
             "vectorized": self.vectorized,
             "plans": [asdict(plan) for plan in self.plans],
         }
@@ -212,8 +201,8 @@ class Campaign:
     def plan_campaign(self):
         """Plan this campaign: ordered, stable-id work units.
 
-        ``Campaign`` owns plan preparation (time scaling, flux
-        overrides) and the config hash;
+        ``Campaign`` owns plan preparation (time and node scaling) and
+        the config hash;
         :func:`~repro.scheduler.plan_units` owns the unit wrapping.
         Units carry a metrics registry when the context's telemetry is
         enabled.
@@ -222,16 +211,21 @@ class Campaign:
 
         telemetry = self.context.telemetry or NULL_TELEMETRY
         config_hash = self.config_hash()
+        units = plan_units(
+            self.plans,
+            seed=self.context.seed,
+            config_hash=config_hash,
+            with_metrics=telemetry.enabled,
+            tech_node=self.tech_node,
+        )
+        if not self.vectorized:
+            # The scalar reference path rides only on this campaign's
+            # own units; submitted specs always fly vectorized.
+            for planned in units:
+                planned.unit.kwargs["vectorized"] = False
         return CampaignPlan(
             config_hash=config_hash,
-            units=plan_units(
-                self.plans,
-                seed=self.context.seed,
-                config_hash=config_hash,
-                vectorized=self.vectorized,
-                with_metrics=telemetry.enabled,
-                tech_node=self.tech_node,
-            ),
+            units=units,
             seed=self.context.seed,
             time_scale=self.context.time_scale,
         )

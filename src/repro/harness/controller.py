@@ -68,25 +68,24 @@ class ControlPC:
         Beam upset injector bound to the chip.
     outcome_model:
         Software-failure sampler.
-    response_timeout_s:
-        How long the Control-PC waits before declaring a crash.
 
     Recovery (an application restart, a power cycle) takes no beam
     time: session rates follow the paper's time accounting, and Table 2
     normalizes by beam minutes.
     """
 
+    #: How long the Control-PC waits before declaring a crash (s).
+    RESPONSE_TIMEOUT_S = 30.0
+
     def __init__(
         self,
         chip: XGene2,
         injector: BeamInjector,
         outcome_model: OutcomeModel = None,
-        response_timeout_s: float = 30.0,
     ) -> None:
         self.chip = chip
         self.injector = injector
         self.outcome_model = outcome_model or OutcomeModel()
-        self.response_timeout_s = response_timeout_s
         self.logbook = Logbook()
         #: Session-cumulative EDAC log: the chip's own log is lost on a
         #: power cycle, so the Control-PC archives every SLIMpro health
@@ -155,26 +154,26 @@ class ControlPC:
                 self.logbook.record(end_s, "sdc", note, benchmark)
             elif failure.kind is OutcomeKind.APP_CRASH:
                 self.logbook.record(
-                    failure.time_s + self.response_timeout_s,
+                    failure.time_s + self.RESPONSE_TIMEOUT_S,
                     "appcrash",
                     "response timeout; restart succeeded (Linux alive)",
                     benchmark,
                 )
                 self.logbook.record(
-                    failure.time_s + self.response_timeout_s,
+                    failure.time_s + self.RESPONSE_TIMEOUT_S,
                     "reset",
                     "application restarted",
                     benchmark,
                 )
             else:  # SYS_CRASH
                 self.logbook.record(
-                    failure.time_s + self.response_timeout_s,
+                    failure.time_s + self.RESPONSE_TIMEOUT_S,
                     "syscrash",
                     "board unreachable; power cycling",
                     benchmark,
                 )
                 self.logbook.record(
-                    failure.time_s + self.response_timeout_s,
+                    failure.time_s + self.RESPONSE_TIMEOUT_S,
                     "powercycle",
                     "board power cycled and rebooted",
                     benchmark,

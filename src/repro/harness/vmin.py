@@ -61,12 +61,6 @@ class PfailModel:
         z = (voltage_mv - self.v50_mv) / self.width_mv
         return float(1.0 / (1.0 + np.exp(z)))
 
-    def sample_run_fails(
-        self, voltage_mv: float, rng: np.random.Generator
-    ) -> bool:
-        """Bernoulli draw: does one execution fail?"""
-        return bool(rng.random() < self.pfail(voltage_mv))
-
 
 #: Calibrated pfail curves for the two studied frequencies (Fig. 4).
 #: Parameters chosen so that, at 300 runs per voltage, the safe Vmin is

@@ -25,7 +25,7 @@ from .calibration import (
 )
 from .injector import BeamInjector, InjectionSummary
 from .propagation import OutcomeModel
-from .avf import AvfEstimate, structure_fit, scale_avf_fit
+from .avf import structure_fit, scale_avf_fit
 from .direct import DirectInjector, DirectInjectionResult
 from .microarch import (
     CoreStructure,
@@ -45,7 +45,6 @@ __all__ = [
     "BeamInjector",
     "InjectionSummary",
     "OutcomeModel",
-    "AvfEstimate",
     "structure_fit",
     "scale_avf_fit",
     "DirectInjector",

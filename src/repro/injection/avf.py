@@ -14,34 +14,8 @@ consume the reproduction's susceptibility curves directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import AnalysisError
 from ..units import bits_to_mbit
-
-
-@dataclass(frozen=True)
-class AvfEstimate:
-    """AVF of one hardware structure under one workload.
-
-    Attributes
-    ----------
-    structure:
-        Structure name, e.g. ``"L2 Cache"``.
-    workload:
-        Workload the AVF was measured under.
-    avf:
-        Probability that a raw fault in the structure corrupts the
-        program output, in [0, 1].
-    """
-
-    structure: str
-    workload: str
-    avf: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.avf <= 1.0:
-            raise AnalysisError("AVF must be in [0, 1]")
 
 
 def structure_fit(

@@ -93,13 +93,6 @@ class InjectionSummary:
             return len(self.upsets)
         return sum(self.counts.values())
 
-    @property
-    def upsets_per_minute(self) -> float:
-        """Detected upset rate over the segment."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.total_upsets / (self.duration_s / 60.0)
-
     def count(
         self,
         level: Optional[CacheLevel] = None,
@@ -130,8 +123,6 @@ class BeamInjector:
         The chip model to strike.
     rate_model:
         Calibrated per-level rate model (defaults to the paper fit).
-    mbu_model:
-        Physical cluster model (defaults calibrated to the L3 UE share).
     vectorized:
         Use the batched numpy realization path (default).  ``False``
         selects the original per-event loop; both sample the same
@@ -147,13 +138,13 @@ class BeamInjector:
         self,
         chip: XGene2,
         rate_model: LevelRateModel = None,
-        mbu_model: MbuModel = None,
         vectorized: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.chip = chip
         self.rate_model = rate_model or LevelRateModel()
-        self.mbu_model = mbu_model or MbuModel()
+        # Physical cluster model, calibrated to the L3 UE share.
+        self.mbu_model = MbuModel()
         self.vectorized = vectorized
         self.metrics = metrics
         # Capacity-weighted array choice within each level.

@@ -74,10 +74,6 @@ class CoreStructure:
         """Architectural vulnerability: P(fault corrupts the output)."""
         return sum(self.outcome_profile.values())
 
-    def masked_probability(self) -> float:
-        """P(fault has no architectural effect)."""
-        return 1.0 - self.avf
-
 
 #: A representative Armv8 out-of-order core's injectable structures,
 #: sizes in the ballpark of a Cortex-A72-class design, with AVF vectors
@@ -157,17 +153,19 @@ DEFAULT_CORE_STRUCTURES: List[CoreStructure] = [
 def required_injections(
     population: int,
     margin: float = 0.01,
-    confidence_z: float = 1.96,
     proportion: float = 0.5,
 ) -> int:
-    """Sample size for a statistical FI campaign (Leveugle et al. [42])."""
+    """Sample size for a statistical FI campaign (Leveugle et al. [42]).
+
+    Sized at 95 % confidence (z = 1.96).
+    """
     if population <= 0:
         raise InjectionError("population must be positive")
     if not 0 < margin < 1:
         raise InjectionError("margin must be in (0, 1)")
     if not 0 < proportion < 1:
         raise InjectionError("proportion must be in (0, 1)")
-    z2pq = confidence_z ** 2 * proportion * (1 - proportion)
+    z2pq = 1.96 ** 2 * proportion * (1 - proportion)
     n = population / (1 + margin ** 2 * (population - 1) / z2pq)
     return int(math.ceil(n))
 

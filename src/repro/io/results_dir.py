@@ -92,10 +92,6 @@ class ResultsDirectory:
             raise AnalysisError(f"no campaign stored under {self.root!r}")
         return load_campaign(path)
 
-    def has_campaign(self) -> bool:
-        """True if a campaign JSON exists."""
-        return os.path.exists(self._path(self.CAMPAIGN_FILE))
-
     # -- run manifest ----------------------------------------------------------
 
     def save_manifest(self, manifest: RunManifest) -> str:
@@ -115,10 +111,6 @@ class ResultsDirectory:
             )
         with open(path) as handle:
             return RunManifest.from_json(handle.read())
-
-    def has_manifest(self) -> bool:
-        """True if a run manifest exists."""
-        return os.path.exists(self._path(self.MANIFEST_FILE))
 
     # -- tables ------------------------------------------------------------------
 

@@ -18,14 +18,13 @@ their coverage against the library's own fault injector:
   measurement for any detector.
 """
 
-from .abft import AbftReport, abft_matmul, abft_matvec, checksum_augment
+from .abft import AbftReport, abft_matvec, checksum_augment
 from .redundancy import DmrResult, dmr_run, tmr_run
 from .selective import HardeningChoice, HardeningOption, select_hardening
 from .evaluation import CoverageReport, measure_detector_coverage
 
 __all__ = [
     "AbftReport",
-    "abft_matmul",
     "abft_matvec",
     "checksum_augment",
     "DmrResult",

@@ -93,41 +93,6 @@ def abft_matvec(
     )
 
 
-def abft_matmul(
-    a: np.ndarray, b: np.ndarray, rtol: float = 1e-9
-) -> AbftReport:
-    """Checksum-verified matrix product (full row+column checksums).
-
-    C = A B carries both a column checksum (from A's checksum row) and
-    a row checksum (from B's checksum column); verifying both detects
-    any single corrupted element and *locates* it at the intersection.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise AnalysisError("incompatible matrix shapes")
-    a_aug = checksum_augment(a)  # extra row
-    b_aug = np.hstack([b, b.sum(axis=1, keepdims=True)])  # extra column
-    with np.errstate(all="ignore"):
-        full = a_aug @ b_aug
-    result = full[:-1, :-1]
-    col_check = full[-1, :-1]
-    row_check = full[:-1, -1]
-    corner = full[-1, -1]
-    col_gap = float(np.abs(result.sum(axis=0) - col_check).max())
-    row_gap = float(np.abs(result.sum(axis=1) - row_check).max())
-    corner_gap = abs(float(result.sum() - corner))
-    discrepancy = max(col_gap, row_gap, corner_gap)
-    scale = float(np.abs(full).max()) if full.size else 0.0
-    tolerance = _tolerance(scale, a.shape[1], rtol)
-    return AbftReport(
-        result=result,
-        detected=_verdict(discrepancy, full, tolerance),
-        max_discrepancy=discrepancy,
-        tolerance=tolerance,
-    )
-
-
 def abft_matvec_encoded(
     augmented: np.ndarray, vector: np.ndarray, rtol: float = 1e-9
 ) -> AbftReport:

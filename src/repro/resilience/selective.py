@@ -117,13 +117,13 @@ def select_hardening(
 def options_from_microarch(
     injector,
     coverage: float = 0.95,
-    cost_per_kbit: float = 0.08,
     susceptibility_multiplier: float = 1.0,
 ) -> List[HardeningOption]:
     """Build hardening options from a :class:`MicroarchInjector`.
 
-    Cost scales with structure size (protection bits are proportional);
-    the voltage multiplier prices the options at a scaled supply.
+    Cost scales with structure size (protection bits are proportional,
+    0.08 per kbit); the voltage multiplier prices the options at a
+    scaled supply.
     """
     from ..injection.events import OutcomeKind
 
@@ -139,7 +139,7 @@ def options_from_microarch(
                 structure=structure.name,
                 sdc_fit=fit,
                 coverage=coverage,
-                cost=cost_per_kbit * structure.bits / 1024.0,
+                cost=0.08 * structure.bits / 1024.0,
             )
         )
     if not options:

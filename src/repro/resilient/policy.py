@@ -147,10 +147,3 @@ class SupervisionPolicy:
         if attempt < 1:
             raise SupervisionError("attempt is 1-based")
         return backoff_delay(self.backoff_s, self.max_backoff_s, attempt)
-
-    def backoff_schedule(self) -> "list[float]":
-        """The full deterministic retry schedule, for logs and docs."""
-        return [
-            self.backoff_delay(attempt)
-            for attempt in range(1, self.max_retries + 1)
-        ]

@@ -99,10 +99,6 @@ class StoreChaosSpec:
                 self, kind, _as_indices(kind, getattr(self, kind))
             )
 
-    def total_faults(self) -> int:
-        """How many faults this spec injects in total."""
-        return sum(len(getattr(self, kind)) for kind in STORE_FAULT_KINDS)
-
     # -- (de)serialization (CLI --store-chaos, CI) --------------------------------
 
     @classmethod

@@ -9,7 +9,7 @@ leases and commits by id alone.
 
 A unit id is ``<hash12>/<label>``: the first 12 hex digits of the
 campaign's stable config hash, then the session label.  The hash pins
-the physics (seed, time scale, flux, injector path, the full plan
+the physics (seed, time scale, injector path, node, the full plan
 list), the label pins the session -- so ids collide exactly when the
 work is byte-identical, which is precisely when collision is the
 desired behaviour (dedup, exactly-once commit).
@@ -82,26 +82,21 @@ def plan_units(
     session_plans: Sequence,
     seed: int,
     config_hash: str,
-    vectorized: bool = True,
     with_metrics: bool = False,
     tech_node: Optional[str] = None,
 ) -> Tuple[PlannedUnit, ...]:
     """Expand prepared session plans into ordered planned units.
 
-    *session_plans* must already be time-scaled/flux-resolved/
-    node-scaled (the campaign's plan preparation owns that); this
-    function only wraps each one in a picklable work unit and stamps
-    the stable id.  *tech_node* rides along only when non-default, so
+    *session_plans* must already be time- and node-scaled (the
+    campaign's plan preparation owns that); this function only wraps
+    each one in a picklable work unit and stamps the stable id.  *tech_node* rides along only when non-default, so
     default-plan unit payloads pickle byte-identically to pre-scaling
     plans.
     """
     from ..harness.campaign import _fly_session
 
     prefix = config_hash[:12]
-    kwargs = {
-        "vectorized": vectorized,
-        "with_metrics": with_metrics,
-    }
+    kwargs = {"with_metrics": with_metrics}
     if tech_node:
         kwargs["tech_node"] = tech_node
     return tuple(
@@ -132,7 +127,6 @@ def plan_campaign(
             campaign.plans,
             seed=spec.seed,
             config_hash=config_hash,
-            vectorized=spec.vectorized,
             with_metrics=with_metrics,
             tech_node=campaign.tech_node,
         ),

@@ -1,11 +1,13 @@
 """Campaign specs: the submission currency of the broker and service.
 
 A :class:`CampaignSpec` is everything a campaign's physics depends on
--- seed, time scale, flux override, injector path -- plus the two
-scheduling attributes the broker cares about (priority and a display
-name).  It is deliberately JSON-shaped: specs arrive as job files
-dropped into a watched directory, as HTTP POST bodies, or are built
-in-process, and all three roads lead to the same frozen dataclass.
+-- seed, time scale, technology node -- plus the scheduling attributes
+the broker cares about (priority, a worker cap and a display name).
+Every spec flies Table 2's session plans at their own flux through the
+vectorized injector.  It is deliberately JSON-shaped: specs arrive as
+job files dropped into a watched directory, as HTTP POST bodies, or are
+built in-process, and all three roads lead to the same frozen
+dataclass.
 
 The spec's :meth:`config_hash` is *the* identity used everywhere:
 
@@ -35,7 +37,6 @@ _SPEC_KEYS = frozenset(
         "name",
         "seed",
         "time_scale",
-        "flux_per_cm2_s",
         "vectorized",
         "priority",
         "max_workers",
@@ -50,9 +51,10 @@ class CampaignSpec:
 
     Attributes
     ----------
-    seed / time_scale / flux_per_cm2_s / vectorized:
-        Exactly the knobs :class:`~repro.harness.campaign.Campaign`
-        accepts; the spec always flies the Table 2 session plans.
+    seed / time_scale:
+        The root seed and beam-time fraction
+        :class:`~repro.harness.campaign.Campaign` flies; the spec always
+        flies the Table 2 session plans.
     priority:
         Broker queueing priority (higher leases first; default 0).
         Scheduling only -- never part of the config hash, because it
@@ -75,8 +77,6 @@ class CampaignSpec:
 
     seed: int = 2023
     time_scale: float = 1.0
-    flux_per_cm2_s: Optional[float] = None
-    vectorized: bool = True
     priority: int = 0
     max_workers: Optional[int] = None
     tech_node: Optional[str] = None
@@ -96,8 +96,6 @@ class CampaignSpec:
             )
         if self.time_scale <= 0:
             raise SchedulerError("spec time_scale must be positive")
-        if self.flux_per_cm2_s is not None and self.flux_per_cm2_s < 0:
-            raise SchedulerError("spec flux override must be nonnegative")
         if not isinstance(self.priority, int) or isinstance(
             self.priority, bool
         ):
@@ -133,17 +131,11 @@ class CampaignSpec:
 
     def campaign(self):
         """The :class:`~repro.harness.campaign.Campaign` this spec describes."""
-        from ..engine import ExecutionContext
         from ..harness.campaign import Campaign
 
-        context = ExecutionContext(
+        return Campaign(
             seed=self.seed,
             time_scale=self.time_scale,
-            flux_per_cm2_s=self.flux_per_cm2_s,
-        )
-        return Campaign(
-            context=context,
-            vectorized=self.vectorized,
             tech_node=self.tech_node,
         )
 
@@ -175,11 +167,8 @@ class CampaignSpec:
         data = {
             "seed": self.seed,
             "time_scale": self.time_scale,
-            "vectorized": self.vectorized,
             "priority": self.priority,
         }
-        if self.flux_per_cm2_s is not None:
-            data["flux_per_cm2_s"] = self.flux_per_cm2_s
         if self.max_workers is not None:
             data["max_workers"] = self.max_workers
         if self.tech_node is not None:
@@ -198,6 +187,18 @@ class CampaignSpec:
                 f"campaign spec must be a JSON object, got "
                 f"{type(data).__name__}"
             )
+        if "flux_per_cm2_s" in data:
+            raise SchedulerError(
+                "campaign spec key 'flux_per_cm2_s' is no longer "
+                "supported: every campaign flies its plans' own flux"
+            )
+        # Every spec file written before the scalar path left the spec
+        # carries "vectorized": true, so that spelling is still read.
+        if data.get("vectorized", True) is not True:
+            raise SchedulerError(
+                "campaign spec key 'vectorized' must be true: the scalar "
+                "injector path is not submittable"
+            )
         unknown = sorted(set(data) - _SPEC_KEYS)
         if unknown:
             raise SchedulerError(
@@ -208,8 +209,6 @@ class CampaignSpec:
             return cls(
                 seed=data.get("seed", 2023),
                 time_scale=data.get("time_scale", 1.0),
-                flux_per_cm2_s=data.get("flux_per_cm2_s"),
-                vectorized=bool(data.get("vectorized", True)),
                 priority=data.get("priority", 0),
                 max_workers=data.get("max_workers"),
                 tech_node=data.get("tech_node"),

@@ -142,11 +142,10 @@ class DirectoryStore:
         ``<service root>/scheduler``).  Created on first use.
     clock:
         Wall-clock source for the *advisory* timestamps persisted in
-        lease files and quarantine reasons (``time.time``).
-    mono_clock:
-        Monotonic clock used to judge foreign-lease liveness by
-        observation.  Defaults to the injected ``clock`` when one was
-        given (so fake-clock tests drive both), else ``time.monotonic``.
+        lease files and quarantine reasons (``time.time``).  Foreign-lease
+        liveness is judged by observation on ``time.monotonic``, or on
+        the injected ``clock`` when one was given (so fake-clock tests
+        drive both).
     telemetry:
         Metrics sink for the ``scheduler.store.*`` counters.
     retry:
@@ -159,14 +158,13 @@ class DirectoryStore:
         self,
         root: str,
         clock: Optional[Callable[[], float]] = None,
-        mono_clock: Optional[Callable[[], float]] = None,
         telemetry=None,
         retry: Optional[RetryPolicy] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ) -> None:
         self.root = root
         self.clock = clock or time.time
-        self.mono_clock = mono_clock or clock or time.monotonic
+        self.mono_clock = clock or time.monotonic
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep or time.sleep

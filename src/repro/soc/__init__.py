@@ -12,7 +12,6 @@ from .regulator import (
     LoadProfile,
     PowerDeliveryNetwork,
     droop_penalty_mv,
-    guardband_consumed_mv,
 )
 from .geometry import CacheLevel, StructureSpec, xgene2_structures
 from .domains import VoltageDomain, DomainName
@@ -26,7 +25,6 @@ __all__ = [
     "LoadProfile",
     "PowerDeliveryNetwork",
     "droop_penalty_mv",
-    "guardband_consumed_mv",
     "CacheLevel",
     "StructureSpec",
     "xgene2_structures",

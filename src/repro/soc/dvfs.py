@@ -103,24 +103,11 @@ class DvfsController:
 
     # -- frequency --------------------------------------------------------------
 
-    def set_pair_frequency(self, pair: int, mhz: int) -> None:
-        """Set the clock of one dual-core pair."""
-        if pair not in self._pair_freq_mhz:
-            raise FrequencyError(f"no such core pair: {pair}")
-        self._validate_frequency(mhz)
-        self._pair_freq_mhz[pair] = int(mhz)
-
     def set_all_frequencies(self, mhz: int) -> None:
         """Set every pair to the same clock (the experiments' usage)."""
         self._validate_frequency(mhz)
         for pair in self._pair_freq_mhz:
             self._pair_freq_mhz[pair] = int(mhz)
-
-    def pair_frequency(self, pair: int) -> int:
-        """Current clock of one pair (MHz)."""
-        if pair not in self._pair_freq_mhz:
-            raise FrequencyError(f"no such core pair: {pair}")
-        return self._pair_freq_mhz[pair]
 
     @property
     def uniform_frequency_mhz(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..errors import AnalysisError
 from ..sram.array import UpsetRecord
@@ -157,14 +157,6 @@ class EdacLog:
             if (level is None or r.level == level)
             and (severity is None or r.severity == severity)
         )
-
-    def counts_by_level(self) -> Dict[Tuple[CacheLevel, EdacSeverity], int]:
-        """Histogram over (level, severity)."""
-        out: Dict[Tuple[CacheLevel, EdacSeverity], int] = {}
-        for r in self._records:
-            key = (r.level, r.severity)
-            out[key] = out.get(key, 0) + 1
-        return out
 
     def to_dmesg(self) -> str:
         """Render the whole log as dmesg text."""

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..constants import NUM_CORES, PMD_NOMINAL_MV, SOC_NOMINAL_MV
+from ..constants import NUM_CORES
 from ..errors import ConfigurationError
 from ..units import mv_to_volts
 
@@ -89,23 +89,6 @@ class PowerModel:
             + self.p_static
         )
 
-    def savings_fraction(
-        self,
-        pmd_mv: float,
-        soc_mv: float,
-        freq_mhz: float,
-        *,
-        baseline: Tuple[float, float, float] = (
-            float(PMD_NOMINAL_MV),
-            float(SOC_NOMINAL_MV),
-            2400.0,
-        ),
-    ) -> float:
-        """Power savings relative to a baseline point (Fig. 10's metric)."""
-        base = self.total_watts(*baseline)
-        here = self.total_watts(pmd_mv, soc_mv, freq_mhz)
-        return (base - here) / base
-
     @classmethod
     def calibrated(cls) -> "PowerModel":
         """Least-squares fit to the paper's four measured power points."""
@@ -142,15 +125,6 @@ class PowerModel:
             a_soc=base.a_soc * node.cap_scale,
             p_static=base.p_static * node.leakage_scale,
         )
-
-    def residuals(self) -> Dict[Tuple[int, int, int], float]:
-        """Model-minus-measurement error at each calibration point (W)."""
-        out: Dict[Tuple[int, int, int], float] = {}
-        for pmd_mv, soc_mv, freq_mhz, watts in PAPER_POWER_POINTS:
-            out[(pmd_mv, soc_mv, freq_mhz)] = (
-                self.total_watts(pmd_mv, soc_mv, freq_mhz) - watts
-            )
-        return out
 
 
 #: Representative per-benchmark activity factors for the PMD dynamic term.

@@ -65,13 +65,6 @@ class PowerDeliveryNetwork:
             current_step_a
         )
 
-    def current_step_for_droop(self, droop_mv: float) -> float:
-        """Invert: the load step (A) that produces a target droop."""
-        if droop_mv < 0:
-            raise ConfigurationError("droop must be nonnegative")
-        per_amp = self.droop_mv(1.0)
-        return droop_mv / per_amp
-
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -131,11 +124,3 @@ def droop_penalty_mv(
     own = pdn.droop_mv(profile.step_current_a)
     base = pdn.droop_mv(reference.step_current_a)
     return max(own - base, 0.0)
-
-
-def guardband_consumed_mv(
-    profile: LoadProfile,
-    pdn: PowerDeliveryNetwork = PowerDeliveryNetwork(),
-) -> float:
-    """Total dynamic guardband a workload consumes (its full droop)."""
-    return pdn.droop_mv(profile.step_current_a)

@@ -11,41 +11,18 @@ through SLIMpro drivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..errors import ConfigurationError
 from .dvfs import DvfsController, OperatingPoint
 from .edac import EdacLog, EdacRecord
-from .power import PowerModel
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    """One environmental sample from the board sensors.
-
-    The experiments verified 40-45 degC die temperature at the beam room
-    and confirmed safe-Vmin stability up to 50 degC (Section 3.4).
-    """
-
-    temperature_c: float
-    power_watts: float
 
 
 class SlimPro:
-    """Management access to voltage, frequency, sensors and health data."""
+    """Management access to voltage, frequency and health data."""
 
-    #: Die temperature band observed during the irradiation (Section 3.4).
-    BEAM_ROOM_TEMP_RANGE_C = (40.0, 45.0)
-
-    def __init__(
-        self,
-        dvfs: DvfsController,
-        power_model: PowerModel,
-        edac_log: EdacLog,
-    ) -> None:
+    def __init__(self, dvfs: DvfsController, edac_log: EdacLog) -> None:
         self._dvfs = dvfs
-        self._power = power_model
         self._edac = edac_log
         self._health_cursor = 0
 
@@ -60,20 +37,6 @@ class SlimPro:
         return self._dvfs.current_point()
 
     # -- sensors ---------------------------------------------------------------
-
-    def read_sensors(self, activity: float = 1.0) -> SensorReading:
-        """Sample temperature and power at the current operating point."""
-        point = self._dvfs.current_point()
-        watts = self._power.total_watts(
-            point.pmd_mv, point.soc_mv, point.freq_mhz, activity=activity
-        )
-        lo, hi = self.BEAM_ROOM_TEMP_RANGE_C
-        # Temperature tracks dissipated power within the observed band.
-        full_power = self._power.total_watts(980, 950, 2400)
-        frac = min(watts / full_power, 1.0)
-        return SensorReading(
-            temperature_c=lo + (hi - lo) * frac, power_watts=watts
-        )
 
     # -- health reports ----------------------------------------------------------
 

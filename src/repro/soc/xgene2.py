@@ -82,7 +82,7 @@ class XGene2:
             self.power_model = PowerModel.for_node(node)
         else:
             self.power_model = PowerModel.calibrated()
-        self.slimpro = SlimPro(self.dvfs, self.power_model, self.edac)
+        self.slimpro = SlimPro(self.dvfs, self.edac)
 
         if structures is not None:
             specs = structures
@@ -132,21 +132,12 @@ class XGene2:
             if spec.level == level
         ]
 
-    def level_of(self, array_name: str) -> CacheLevel:
-        """The reporting level of an array instance."""
-        return self.spec(array_name).level
-
     # -- capacity -------------------------------------------------------------------
 
     @property
     def sram_data_bits(self) -> int:
         """Total protected data bits over all arrays."""
         return sum(spec.capacity_bits for spec in self._specs.values())
-
-    @property
-    def sram_stored_bits(self) -> int:
-        """Total stored bits (data + check), the beam's target area."""
-        return sum(a.stored_bits for a in self._arrays.values())
 
     # -- electrical state ------------------------------------------------------------
 

@@ -65,11 +65,6 @@ class ArrayGeometry:
         if self.interleave < 1:
             raise GeometryError(f"{self.name}: interleave must be >= 1")
 
-    @property
-    def data_bits_total(self) -> int:
-        """Total data bits in the array."""
-        return self.words * self.data_bits
-
     @classmethod
     def from_bytes(
         cls, name: str, capacity_bytes: int, data_bits: int = 64, interleave: int = 4
@@ -163,16 +158,6 @@ class SramArray:
     def stored_bits(self) -> int:
         """Total stored bits (data + check) -- the beam target area."""
         return self.geometry.words * self.codec.word_bits
-
-    @property
-    def dirty_words(self) -> List[int]:
-        """Word indices currently holding uncleared flips."""
-        return sorted(self._flips)
-
-    def pending_flips(self, word: int) -> int:
-        """The accumulated flip mask of *word* (0 if clean)."""
-        self._check_word(word)
-        return self._flips.get(word, 0)
 
     # -- fault injection -------------------------------------------------------
 

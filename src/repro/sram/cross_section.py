@@ -73,20 +73,6 @@ class CrossSectionModel:
         """Per-bit cross-section at *supply_mv* (cm^2/bit)."""
         return self.sigma0_cm2 * self.multiplier(supply_mv)
 
-    def upset_rate_per_bit_s(self, supply_mv: float, flux_per_cm2_s: float) -> float:
-        """Per-bit upset rate (1/s) under a given flux."""
-        if flux_per_cm2_s < 0:
-            raise ConfigurationError("flux must be nonnegative")
-        return self.sigma_cm2(supply_mv) * flux_per_cm2_s
-
-    def with_sigma0(self, sigma0_cm2: float) -> "CrossSectionModel":
-        """Copy with a different nominal cross-section (for calibration)."""
-        return CrossSectionModel(
-            sigma0_cm2=sigma0_cm2,
-            nominal_mv=self.nominal_mv,
-            voltage_slope=self.voltage_slope,
-        )
-
     @classmethod
     def for_node(cls, node) -> "CrossSectionModel":
         """The cross-section model at a technology node.
@@ -135,32 +121,3 @@ def fit_voltage_slope(
         raise ConfigurationError("voltages must differ to fit a slope")
     u = (nominal_mv - low_mv) / nominal_mv
     return float(np.log(rate_ratio) / u)
-
-
-def calibrate_sigma0(
-    target_rate_per_min: float,
-    total_bits: float,
-    flux_per_cm2_s: float,
-    detection_efficiency: float = 1.0,
-) -> float:
-    """Solve sigma_0 from a target chip-level detected upset rate.
-
-    rate/min = sigma_0 * bits * flux * efficiency * 60
-
-    Parameters
-    ----------
-    target_rate_per_min:
-        Desired detected upsets per minute at nominal voltage.
-    total_bits:
-        Number of SRAM bits contributing.
-    flux_per_cm2_s:
-        Beam flux at the DUT.
-    detection_efficiency:
-        Fraction of raw upsets that the workload/EDAC path observes.
-    """
-    if min(target_rate_per_min, total_bits, flux_per_cm2_s) <= 0:
-        raise ConfigurationError("rate, bits and flux must be positive")
-    if not 0 < detection_efficiency <= 1:
-        raise ConfigurationError("detection efficiency must be in (0, 1]")
-    per_second = target_rate_per_min / 60.0
-    return per_second / (total_bits * flux_per_cm2_s * detection_efficiency)

@@ -4,9 +4,9 @@ SECDED corrects one bit per word, so a word that collects *two*
 independent single-bit upsets between consecutive reads becomes
 uncorrectable -- exactly the accumulation the paper's short class-A
 benchmarks were chosen to avoid (Section 3.3).  Hardware patrol
-scrubbing bounds that window: this module quantifies the trade
-between scrub interval, accumulated-DUE rate, and scrub energy, for
-any voltage setting via the calibrated per-level rates.
+scrubbing bounds that window: this module quantifies the
+accumulated-DUE rate at a scrub interval, for any voltage setting via
+the calibrated per-level rates.
 
 Model: an array of ``W`` words whose per-word upset rate is
 ``lambda_w`` (1/s).  Within a scrub interval ``T``, the probability a
@@ -15,9 +15,8 @@ rare-event), so the chip-level accumulated-DUE rate is
 
     R_acc(T) = W * lambda_w^2 * T / 2        [1/s]
 
-which grows linearly in T, while scrubbing costs one full-array sweep
-of energy per interval.  MBU-induced DUEs (a single strike flipping 2+
-bits of one word) are independent of T and set the noise floor that
+which grows linearly in T.  MBU-induced DUEs (a single strike flipping
+2+ bits of one word) are independent of T and set the noise floor that
 makes ultra-aggressive scrubbing pointless.
 """
 
@@ -78,53 +77,6 @@ class ScrubbingModel:
             raise ConfigurationError("interval must be positive")
         per_word = self.word_double_hit_probability(interval_s)
         return self.words * per_word / interval_s
-
-    def total_due_rate_per_s(self, interval_s: float) -> float:
-        """Accumulated plus MBU-floor DUE rate (1/s)."""
-        return (
-            self.accumulated_due_rate_per_s(interval_s)
-            + self.mbu_due_rate_per_s
-        )
-
-    # -- policy -----------------------------------------------------------------
-
-    def interval_for_due_budget(self, due_rate_budget_per_s: float) -> float:
-        """Largest scrub interval keeping the accumulated-DUE rate under
-        a budget (rare-event closed form)."""
-        if due_rate_budget_per_s <= 0:
-            raise ConfigurationError("DUE budget must be positive")
-        if self.word_upset_rate_per_s == 0:
-            return math.inf
-        # R_acc(T) ~ W * lambda_w^2 * T / 2  =>  T = 2 R / (W lambda^2)
-        return (
-            2.0
-            * due_rate_budget_per_s
-            / (self.words * self.word_upset_rate_per_s ** 2)
-        )
-
-    def scrub_power_w(self, interval_s: float) -> float:
-        """Average power spent scrubbing at an interval."""
-        if interval_s <= 0:
-            raise ConfigurationError("interval must be positive")
-        return self.scrub_energy_j / interval_s
-
-    def diminishing_returns_interval_s(self) -> float:
-        """Interval below which scrubbing stops helping.
-
-        Scrubbing faster than the point where the accumulated-DUE rate
-        falls under the MBU floor only burns energy: returns the
-        interval where the two rates cross (infinity if there is no
-        MBU floor).
-        """
-        if self.mbu_due_rate_per_s == 0:
-            return math.inf
-        if self.word_upset_rate_per_s == 0:
-            return math.inf
-        return (
-            2.0
-            * self.mbu_due_rate_per_s
-            / (self.words * self.word_upset_rate_per_s ** 2)
-        )
 
 
 def model_from_level_rate(

@@ -17,7 +17,6 @@ by the ``tech_anchor`` differential pairing).
 
 from .node import DEFAULT_NODE, TechNode
 from .registry import (
-    default_node,
     get_node,
     list_nodes,
     register_node,
@@ -27,7 +26,6 @@ from .registry import (
 __all__ = [
     "DEFAULT_NODE",
     "TechNode",
-    "default_node",
     "get_node",
     "list_nodes",
     "register_node",

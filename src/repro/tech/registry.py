@@ -97,11 +97,6 @@ def list_nodes() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def default_node() -> TechNode:
-    """The 28 nm X-Gene 2 anchor node."""
-    return get_node(DEFAULT_NODE)
-
-
 def _register_builtins() -> None:
     register_node(
         TechNode(

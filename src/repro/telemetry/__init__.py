@@ -23,7 +23,7 @@ between serial and parallel runs, while timings stay quarantined in
 histograms/spans that no determinism-checked artifact contains.
 """
 
-from .exporters import console_summary, metrics_to_json, metrics_to_prometheus
+from .exporters import console_summary, metrics_to_prometheus
 from .manifest import RunManifest, stable_config_hash
 from .metrics import (
     Counter,
@@ -47,7 +47,6 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "console_summary",
-    "metrics_to_json",
     "metrics_to_prometheus",
     "stable_config_hash",
 ]

@@ -24,14 +24,6 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def metrics_to_json(
-    metrics: Union[MetricsRegistry, dict], indent: Optional[int] = 2
-) -> str:
-    """The registry snapshot as a JSON document."""
-    registry = _as_registry(metrics)
-    return registry.to_json(indent=indent)
-
-
 def metrics_to_prometheus(
     metrics: Union[MetricsRegistry, dict], prefix: str = "repro"
 ) -> str:

@@ -14,7 +14,7 @@ done in exactly one place.
 
 from __future__ import annotations
 
-from .constants import SECONDS_PER_HOUR, SECONDS_PER_MINUTE, HOURS_PER_YEAR
+from .constants import SECONDS_PER_HOUR, HOURS_PER_YEAR
 
 
 def mv_to_volts(millivolts: float) -> float:
@@ -27,26 +27,6 @@ def volts_to_mv(volts: float) -> float:
     return volts * 1000.0
 
 
-def mhz_to_hz(mhz: float) -> float:
-    """Convert MHz to Hz."""
-    return mhz * 1.0e6
-
-
-def minutes_to_seconds(minutes: float) -> float:
-    """Convert minutes to seconds."""
-    return minutes * SECONDS_PER_MINUTE
-
-
-def seconds_to_minutes(seconds: float) -> float:
-    """Convert seconds to minutes."""
-    return seconds / SECONDS_PER_MINUTE
-
-
-def hours_to_seconds(hours: float) -> float:
-    """Convert hours to seconds."""
-    return hours * SECONDS_PER_HOUR
-
-
 def seconds_to_hours(seconds: float) -> float:
     """Convert seconds to hours."""
     return seconds / SECONDS_PER_HOUR
@@ -57,21 +37,6 @@ def hours_to_years(hours: float) -> float:
     return hours / HOURS_PER_YEAR
 
 
-def bytes_to_bits(num_bytes: int) -> int:
-    """Convert a byte count to a bit count."""
-    return int(num_bytes) * 8
-
-
 def bits_to_mbit(bits: float) -> float:
     """Convert bits to megabits (10^6 bits, the SER convention)."""
     return bits / 1.0e6
-
-
-def per_second_to_per_minute(rate_per_s: float) -> float:
-    """Convert an event rate from 1/s to 1/min."""
-    return rate_per_s * SECONDS_PER_MINUTE
-
-
-def per_minute_to_per_second(rate_per_min: float) -> float:
-    """Convert an event rate from 1/min to 1/s."""
-    return rate_per_min / SECONDS_PER_MINUTE

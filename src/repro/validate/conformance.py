@@ -416,7 +416,6 @@ def run_conformance(
 def run_differential(
     seed: int = DEFAULT_SEED,
     time_scale: float = 0.01,
-    pairings: Optional[List[str]] = None,
     workdir: Optional[str] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> SuiteResult:
@@ -425,7 +424,7 @@ def run_differential(
         seed=seed, time_scale=time_scale, workdir=workdir
     )
     result = SuiteResult(suite="differential")
-    for name in pairings if pairings is not None else runner.pairings():
+    for name in runner.pairings():
         if telemetry is not None:
             with telemetry.span("validate.pairing", pairing=name):
                 report = runner.run(name)

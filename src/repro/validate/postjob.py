@@ -24,19 +24,49 @@ Two kinds of gate, both pure functions of the committed
 * **upsets** -- one Poisson count gate per session: the detected upset
   count must be statistically consistent with the calibrated
   :class:`~repro.injection.calibration.LevelRateModel` expectation for
-  the session's operating point, flux and beam-on duration.  The
-  acceptance region is the central Poisson interval at the gates
-  module's ``DEFAULT_EPSILON``, so a healthy service essentially never
-  trips it while a miscalibrated or corrupted run does.
+  the session's operating point, flux and beam-on duration, on the
+  technology node the campaign flew.  The acceptance region is the
+  central Poisson interval at the gates module's ``DEFAULT_EPSILON``,
+  so a healthy service essentially never trips it while a
+  miscalibrated or corrupted run does.
+
+``campaign.json`` records operating points, not the node.  Every
+registered node scales Table 2's points onto a grid of its own, so the
+flown points name the node; points that match no registered node fail
+one ``postjob/node`` gate instead of being judged by a model they were
+not flown on.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
+from ..harness.session import TABLE2_SESSION_PLANS
 from ..injection.calibration import LevelRateModel
 from ..io.json_store import campaign_from_dict, campaign_to_dict
+from ..tech import TechNode, get_node, list_nodes
 from .gates import GateResult, poisson_count_gate
+
+
+def _grid_point(point) -> tuple:
+    return (point.freq_mhz, point.pmd_mv, point.soc_mv)
+
+
+def _flown_node(campaign) -> Optional[TechNode]:
+    """The registered node whose scaled Table 2 points *campaign* flew."""
+    flown = {
+        label: _grid_point(campaign.session(label).plan.point)
+        for label in campaign.labels()
+    }
+    for name in list_nodes():
+        node = get_node(name)
+        scaled = {
+            plan.label: _grid_point(node.scaled_point(plan.point))
+            for plan in TABLE2_SESSION_PLANS
+        }
+        if all(scaled.get(label) == point for label, point in flown.items()):
+            return node
+    return None
 
 
 def postjob_gates(campaign_dict: dict) -> List[GateResult]:
@@ -86,7 +116,20 @@ def postjob_gates(campaign_dict: dict) -> List[GateResult]:
             ),
         )
     )
-    model = LevelRateModel()
+    node = _flown_node(campaign)
+    if node is None:
+        gates.append(
+            GateResult(
+                gate="postjob/node",
+                ok=False,
+                measured="no registered node",
+                expected="a registered node's Table 2 points",
+                detail="the sessions' operating points match no registered "
+                "node's scaled Table 2 points, so no rate model applies",
+            )
+        )
+        return gates
+    model = LevelRateModel.for_node(node)
     for label in campaign.labels():
         session = campaign.session(label)
         point = session.plan.point

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -115,16 +115,6 @@ class Workload(abc.ABC):
     def verify(self, result: WorkloadResult, rtol: float = 1e-10) -> bool:
         """Does *result* match the golden reference?"""
         return self.golden().matches(result, rtol=rtol)
-
-    def data_arrays(self, state: Dict[str, np.ndarray]) -> List[np.ndarray]:
-        """The live float/int arrays a fault injector may corrupt."""
-        return [a for a in state.values() if isinstance(a, np.ndarray)]
-
-    def footprint_bytes(self, state: Dict[str, np.ndarray] = None) -> int:
-        """Total bytes of live data (the kernel's resident footprint)."""
-        if state is None:
-            state = self._build_state()
-        return int(sum(a.nbytes for a in self.data_arrays(state)))
 
     def _rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

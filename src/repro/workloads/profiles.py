@@ -176,9 +176,3 @@ def benchmark_rate_share(name: str, pmd_mv: int) -> float:
 def mean_runtime_s() -> float:
     """Average fault-free runtime across the suite."""
     return float(np.mean([p.runtime_s for p in PROFILES.values()]))
-
-
-def suite_detection_efficiency(level: str) -> float:
-    """Suite-average detection efficiency at one cache level."""
-    effs = [p.detection_efficiency(level) for p in PROFILES.values()]
-    return float(np.mean(effs))

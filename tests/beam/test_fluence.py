@@ -30,13 +30,6 @@ class TestFluenceAccount:
         b.expose(1.5e6, 300.0)
         assert a.fluence_per_cm2 == pytest.approx(b.fluence_per_cm2)
 
-    def test_significance_threshold(self):
-        account = FluenceAccount()
-        account.expose(1.5e6, 18.6 * 3600)  # just above 1e11
-        assert account.is_significant()
-        fresh = FluenceAccount()
-        assert not fresh.is_significant()
-
     def test_session1_fluence_reproduced(self):
         # Table 2 session 1: 1651 min at the halo flux -> 1.49e11 n/cm2.
         account = FluenceAccount()

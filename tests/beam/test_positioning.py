@@ -38,18 +38,6 @@ class TestAttenuation:
         assert all(0.0 <= s <= 1.0 for s in samples)
 
 
-class TestRepositioningSpread:
-    def test_six_measurement_procedure(self, rng):
-        model = PositioningModel()
-        mean, spread = model.repositioning_spread(rng, measurements=6)
-        assert mean == pytest.approx(0.60, abs=0.05)
-        assert spread > 0
-
-    def test_needs_two_measurements(self, rng):
-        with pytest.raises(BeamError):
-            PositioningModel().repositioning_spread(rng, measurements=1)
-
-
 class TestValidation:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(BeamError):

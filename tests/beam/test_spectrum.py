@@ -1,64 +1,9 @@
 """Neutron energy spectrum."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.beam.spectrum import NeutronSpectrum
 from repro.errors import BeamError
-
-
-@pytest.fixture(scope="module")
-def spectrum():
-    return NeutronSpectrum()
-
-
-class TestDifferentialFlux:
-    def test_power_law_decreasing(self, spectrum):
-        e = np.array([10.0, 100.0, 1000.0])
-        flux = spectrum.differential_flux(e)
-        assert flux[0] > flux[1] > flux[2] > 0
-
-    def test_zero_outside_range(self, spectrum):
-        flux = spectrum.differential_flux(np.array([1.0, 5000.0]))
-        assert np.all(flux == 0.0)
-
-
-class TestFractions:
-    def test_fraction_above_threshold_edges(self, spectrum):
-        assert spectrum.fraction_above(10.0) == pytest.approx(1.0)
-        assert spectrum.fraction_above(1000.0) == pytest.approx(0.0)
-        assert spectrum.fraction_above(2000.0) == 0.0
-
-    def test_fraction_monotone(self, spectrum):
-        fr = [spectrum.fraction_above(t) for t in (10, 50, 100, 500)]
-        assert fr == sorted(fr, reverse=True)
-
-    def test_mean_energy_within_range(self, spectrum):
-        mean = spectrum.mean_energy_mev()
-        assert spectrum.e_min_mev < mean < spectrum.e_max_mev
-
-    @given(threshold=st.floats(min_value=10.0, max_value=999.0))
-    def test_fraction_bounded(self, threshold):
-        f = NeutronSpectrum().fraction_above(threshold)
-        assert 0.0 <= f <= 1.0
-
-
-class TestSampling:
-    def test_samples_in_range(self, spectrum, rng):
-        e = spectrum.sample_energies(rng, 5000)
-        assert np.all(e >= spectrum.e_min_mev)
-        assert np.all(e <= spectrum.e_max_mev)
-
-    def test_sample_distribution_matches_fraction(self, spectrum, rng):
-        e = spectrum.sample_energies(rng, 50_000)
-        empirical = np.mean(e > 100.0)
-        assert empirical == pytest.approx(spectrum.fraction_above(100.0), abs=0.01)
-
-    def test_negative_size_rejected(self, spectrum, rng):
-        with pytest.raises(BeamError):
-            spectrum.sample_energies(rng, -1)
 
 
 class TestValidation:

@@ -77,12 +77,14 @@ class TestBackoff:
         policy = SupervisionPolicy(
             max_retries=5, backoff_s=0.1, max_backoff_s=0.5
         )
-        assert policy.backoff_schedule() == [0.1, 0.2, 0.4, 0.5, 0.5]
+        schedule = [policy.backoff_delay(k) for k in range(1, 6)]
+        assert schedule == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     def test_schedule_has_no_jitter(self):
         # Deterministic by construction: same policy, same schedule.
         policy = SupervisionPolicy(max_retries=3)
-        assert policy.backoff_schedule() == policy.backoff_schedule()
+        first = [policy.backoff_delay(k) for k in range(1, 4)]
+        assert first == [policy.backoff_delay(k) for k in range(1, 4)]
 
     def test_unit_and_store_retries_share_one_backoff(self):
         # One capped doubling behind both retry policies; each keeps
@@ -93,7 +95,7 @@ class TestBackoff:
         store = RetryPolicy(attempts=5, base_delay_s=0.01, max_delay_s=0.05)
         expected = [backoff_delay(0.01, 0.05, k) for k in range(1, 5)]
         assert expected == [0.01, 0.02, 0.04, 0.05]
-        assert unit.backoff_schedule() == expected
+        assert [unit.backoff_delay(k) for k in range(1, 5)] == expected
         assert list(store.delays()) == expected
 
     def test_attempt_is_one_based(self):

@@ -23,27 +23,38 @@ TIMEOUT_S = 120.0
 
 
 def spawn(argv):
-    """Start ``python -m repro.cli ARGV`` with captured output."""
+    """Start ``python -m repro.cli ARGV`` with captured output.
+
+    The process leads a session of its own, so it and the pool workers
+    it forks can be signalled together as one process group.
+    """
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
+        start_new_session=True,
     )
 
 
-def signal_when(proc, ready, sig=signal.SIGTERM):
+def signal_when(proc, ready, sig=signal.SIGTERM, group=False):
     """Send *sig* once ``ready()`` holds; ``(returncode, stdout, stderr)``.
 
     No signal is sent when the process exits first (or *ready* never
     holds within the bound): the caller's exit-code assertion then
     fails, so a sweep that ends before the signal can never pass.
+    With *group*, the signal goes to the process and every pool worker
+    it forked, as when a host dies: a SIGKILLed verb's orphaned workers
+    would otherwise hold its output pipes open.
     """
     deadline = time.monotonic() + TIMEOUT_S
     while proc.poll() is None and time.monotonic() < deadline:
         if ready():
-            proc.send_signal(sig)
+            if group:
+                os.killpg(proc.pid, sig)
+            else:
+                proc.send_signal(sig)
             break
         time.sleep(0.005)
     try:

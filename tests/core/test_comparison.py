@@ -7,7 +7,6 @@ from repro.core.comparison import (
     ReferenceStudy,
     is_consistent_with_reference,
     masking_factor,
-    scale_ser_per_bit,
 )
 from repro.errors import AnalysisError
 
@@ -48,28 +47,6 @@ class TestConsistency:
         dynamic = next(r for r in REFERENCE_STUDIES if not r.static_test)
         with pytest.raises(AnalysisError):
             is_consistent_with_reference(2.0, dynamic)
-
-
-class TestNodeScaling:
-    def test_identity_at_same_node(self):
-        assert scale_ser_per_bit(15.0, 28, 28) == pytest.approx(15.0)
-
-    def test_shrink_slightly_reduces_per_bit_ser(self):
-        scaled = scale_ser_per_bit(15.0, 28, 14)
-        assert 10.0 < scaled < 15.0
-
-    def test_upscale_inverts(self):
-        down = scale_ser_per_bit(15.0, 28, 14)
-        back = scale_ser_per_bit(down, 14, 28)
-        assert back == pytest.approx(15.0)
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            scale_ser_per_bit(0.0, 28, 14)
-        with pytest.raises(AnalysisError):
-            scale_ser_per_bit(15.0, 0, 14)
-        with pytest.raises(AnalysisError):
-            scale_ser_per_bit(15.0, 28, 14, per_node_slope=0.0)
 
 
 class TestReferenceStudy:

@@ -28,9 +28,6 @@ BINOMIAL_GRID = [(k, n) for n in range(1, 121) for k in range(n + 1)] + [
 
 
 class TestConfidenceInterval:
-    def test_halfwidth(self):
-        ci = ConfidenceInterval(value=5.0, lower=3.0, upper=9.0)
-        assert ci.halfwidth == pytest.approx(3.0)
 
     def test_scaling(self):
         ci = ConfidenceInterval(value=5.0, lower=3.0, upper=9.0).scaled(2.0)
@@ -102,7 +99,7 @@ class TestBinomial:
     def test_more_trials_tighter(self):
         wide = binomial_interval(5, 10)
         narrow = binomial_interval(500, 1000)
-        assert narrow.halfwidth < wide.halfwidth
+        assert narrow.upper - narrow.lower < wide.upper - wide.lower
 
     def test_validation(self):
         with pytest.raises(AnalysisError):

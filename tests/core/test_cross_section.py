@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cross_section import (
-    dynamic_cross_section,
-    per_bit_cross_section,
-)
+from repro.core.cross_section import dynamic_cross_section
 from repro.errors import AnalysisError
 
 
@@ -30,17 +27,6 @@ class TestDcs:
             dynamic_cross_section(-1, 1e10)
         with pytest.raises(AnalysisError):
             dynamic_cross_section(5, 0.0)
-
-    def test_per_bit(self):
-        dcs = dynamic_cross_section(100, 1e10)
-        assert dcs.per_bit(10) == pytest.approx(dcs.cm2 / 10)
-        with pytest.raises(AnalysisError):
-            dcs.per_bit(0)
-
-    def test_per_bit_convenience(self):
-        # Session-1-like numbers: 1669 upsets, 1.49e11 n/cm2, 80.2e6 bits.
-        sigma = per_bit_cross_section(1669, 1.49e11, 80_236_544)
-        assert 1e-17 < sigma < 1e-15
 
     @given(
         events=st.integers(min_value=0, max_value=100_000),

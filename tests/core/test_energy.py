@@ -62,16 +62,6 @@ class TestEnergy:
         energy_savings = 1 - low / nominal
         assert energy_savings < power_savings
 
-    def test_edp_positive_and_consistent(self, model):
-        edp = model.energy_delay_product(3.0, SAFE)
-        energy = model.energy_joules(3.0, SAFE)
-        runtime = model.runtime_s(3.0, SAFE)
-        assert edp == pytest.approx(energy * runtime)
-
-    def test_savings_vs(self, model):
-        savings = model.savings_vs(3.0, SAFE, NOMINAL)
-        assert savings == pytest.approx(0.087, abs=0.02)
-
 
 class TestSelector:
     @pytest.fixture(scope="class")

@@ -13,23 +13,12 @@ def population():
     return VminPopulation(mean_mv=917.0, sigma_mv=12.0)
 
 
-class TestViolationProbability:
-    def test_monotone_decreasing_in_voltage(self, population):
-        probs = [population.violation_probability(v) for v in (980, 950, 930, 917)]
-        assert probs == sorted(probs)
-
-    def test_mean_voltage_half_violations(self, population):
-        assert population.violation_probability(917.0) == pytest.approx(0.5)
-
-    def test_nominal_essentially_safe(self, population):
-        assert population.violation_probability(980.0) < 1e-6
-
-
 class TestFleetVoltage:
     def test_fleet_voltage_on_grid_and_safe(self, population):
         v = population.fleet_safe_voltage_mv(violation_target=1e-4)
         assert v % 5 == 0
-        assert population.violation_probability(v) <= 1e-4
+        z = (v - population.mean_mv) / population.sigma_mv
+        assert stats.norm.sf(z) <= 1e-4
 
     def test_stricter_target_raises_voltage(self, population):
         lax = population.fleet_safe_voltage_mv(violation_target=1e-2)
@@ -53,13 +42,6 @@ class TestMatchesScipyStats:
         for mean in (900.0, 917.0, 931.3, 970.0)
         for sigma in (0.7, 5.0, 12.0, 30.0)
     ]
-
-    def test_violation_probability(self):
-        voltages = np.linspace(700.0, 1_100.0, 4_001)
-        for pop in self.POPULATIONS:
-            z = (voltages - pop.mean_mv) / pop.sigma_mv
-            got = [pop.violation_probability(v) for v in voltages.tolist()]
-            assert got == stats.norm.sf(z).tolist()
 
     def test_fleet_safe_voltage(self):
         targets = np.r_[

@@ -10,23 +10,10 @@ class TestRatePerMinute:
     def test_point_estimate(self):
         rate = rate_per_minute(1669, 1651.0)
         assert rate.per_minute == pytest.approx(1.011, abs=0.001)
-        assert rate.per_hour == pytest.approx(60.66, abs=0.1)
 
     def test_interval_contains_estimate(self):
         rate = rate_per_minute(50, 100.0)
         assert rate.interval.lower <= rate.per_minute <= rate.interval.upper
-
-    def test_relative_to(self):
-        nominal = rate_per_minute(101, 100.0)
-        vmin = rate_per_minute(112, 100.0)
-        assert vmin.relative_to(nominal) == pytest.approx(112 / 101)
-        assert vmin.increase_percent(nominal) == pytest.approx(10.89, abs=0.01)
-
-    def test_relative_to_zero_baseline_rejected(self):
-        zero = rate_per_minute(0, 100.0)
-        other = rate_per_minute(5, 100.0)
-        with pytest.raises(AnalysisError):
-            other.relative_to(zero)
 
     def test_validation(self):
         with pytest.raises(AnalysisError):

@@ -68,9 +68,6 @@ class TestApi:
     def test_nominal_is_reference(self, series):
         assert series.nominal.susceptibility_increase_pct == pytest.approx(0.0)
 
-    def test_marginal_ratios_length(self, series):
-        assert len(series.marginal_ratios()) == 3
-
     def test_empty_series_rejected(self):
         with pytest.raises(AnalysisError):
             TradeoffSeries(points=[])

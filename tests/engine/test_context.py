@@ -13,7 +13,6 @@ class TestValidation:
         ctx = ExecutionContext()
         assert ctx.seed == 2023
         assert ctx.time_scale == 1.0
-        assert ctx.flux_per_cm2_s is None
         assert ctx.telemetry is None
 
     def test_seed_coerced_to_int(self):
@@ -24,10 +23,6 @@ class TestValidation:
             ExecutionContext(time_scale=0.0)
         with pytest.raises(EngineError):
             ExecutionContext(time_scale=-0.5)
-
-    def test_rejects_negative_flux(self):
-        with pytest.raises(EngineError):
-            ExecutionContext(flux_per_cm2_s=-1.0)
 
 
 class TestDerivation:
@@ -60,7 +55,7 @@ class TestDerivation:
 
 class TestCopies:
     def test_pickles(self):
-        ctx = ExecutionContext(seed=5, time_scale=0.2, flux_per_cm2_s=1e6)
+        ctx = ExecutionContext(seed=5, time_scale=0.2)
         clone = pickle.loads(pickle.dumps(ctx))
         assert clone.seed == 5
         assert clone.derive_seed("x") == ctx.derive_seed("x")

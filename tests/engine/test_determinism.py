@@ -9,7 +9,6 @@ which captures every upset, failure, EDAC record and run outcome.
 import pytest
 
 from repro import Campaign, ExecutionContext, ParallelExecutor, SerialExecutor
-from repro.core.ensemble import run_ensemble
 from repro.engine import ParallelExecutor as EngineParallel
 from repro.harness.vmin import characterize_all
 from repro.injection.microarch import MicroarchInjector
@@ -61,14 +60,3 @@ class TestOtherRunnersDeterminism:
         serial = injector.run_batch(400)
         parallel = injector.run_batch(400, executor=EngineParallel(2))
         assert serial == parallel
-
-    def test_ensemble_parallel_matches_serial(self):
-        metric = {"upsets": lambda a: a.upset_rate("session1").per_minute}
-        serial = run_ensemble([1, 2], time_scale=SCALE, metrics=metric)
-        parallel = run_ensemble(
-            [1, 2],
-            time_scale=SCALE,
-            metrics=metric,
-            executor=EngineParallel(2),
-        )
-        assert serial["upsets"].values == parallel["upsets"].values

@@ -118,7 +118,7 @@ class TestFig6Fig7Drivers:
 
         ladder = SeedLadder((SEED, 211, 212, 213, 214), required=4)
         result = ladder.run("drivers/fig7_vs_fig6_l2", check)
-        assert result.ok, result.to_gate().render()
+        assert result.ok, [t.detail for t in result.trials if not t.ok]
 
 
 class TestFig8Driver:

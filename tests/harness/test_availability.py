@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.harness.availability import (
-    AvailabilityModel,
     CheckpointModel,
     UndervoltingVerdict,
     undervolting_verdict,
@@ -117,20 +116,3 @@ class TestVerdict:
             undervolting_verdict(
                 0.0, 1.0, 1.0, 1.0, CheckpointModel(), 1.0
             )
-
-
-class TestAvailability:
-    def test_ground_level_five_nines_and_beyond(self):
-        model = AvailabilityModel()
-        availability = model.availability(NOMINAL_CRASH_FIT)
-        assert availability > 0.9999999
-
-    def test_downtime_grows_with_flux(self):
-        model = AvailabilityModel()
-        ground = model.downtime_minutes_per_year(NOMINAL_CRASH_FIT, 1.0)
-        orbit = model.downtime_minutes_per_year(NOMINAL_CRASH_FIT, 1e5)
-        assert orbit > ground
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            AvailabilityModel(repair_hours=0.0)

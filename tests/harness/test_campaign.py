@@ -17,10 +17,6 @@ class TestCampaign:
             "session1", "session2", "session3", "session4",
         ]
 
-    def test_sessions_keyed_by_voltage(self, campaign_result):
-        by_voltage = campaign_result.by_pmd_voltage()
-        assert set(by_voltage) == {980, 930, 920, 790}
-
     def test_sram_bits_recorded(self, campaign_result):
         assert campaign_result.sram_bits == 80_236_544
 

@@ -3,19 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.injection.avf import AvfEstimate, scale_avf_fit, structure_fit
-
-
-class TestAvfEstimate:
-    def test_valid(self):
-        est = AvfEstimate(structure="L2 Cache", workload="CG", avf=0.3)
-        assert est.avf == 0.3
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(AnalysisError):
-            AvfEstimate(structure="x", workload="y", avf=1.5)
-        with pytest.raises(AnalysisError):
-            AvfEstimate(structure="x", workload="y", avf=-0.1)
+from repro.injection.avf import scale_avf_fit, structure_fit
 
 
 class TestStructureFit:

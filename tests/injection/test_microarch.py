@@ -25,7 +25,6 @@ class TestCoreStructure:
             outcome_profile={OutcomeKind.SDC: 0.1, OutcomeKind.APP_CRASH: 0.2},
         )
         assert s.avf == pytest.approx(0.3)
-        assert s.masked_probability() == pytest.approx(0.7)
 
     def test_btb_fully_masked(self):
         btb = next(s for s in DEFAULT_CORE_STRUCTURES if s.name == "btb")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
 from repro.resilience.abft import (
-    abft_matmul,
     abft_matvec,
     abft_matvec_encoded,
     checksum_augment,
@@ -73,19 +72,6 @@ class TestMatvec:
         encoded = checksum_augment(a)
         encoded[row, col] += bump
         assert abft_matvec_encoded(encoded, x).detected
-
-
-class TestMatmul:
-    def test_clean_run_no_alarm(self, rng):
-        a = rng.standard_normal((10, 12))
-        b = rng.standard_normal((12, 8))
-        report = abft_matmul(a, b)
-        assert not report.detected
-        assert np.allclose(report.result, a @ b)
-
-    def test_incompatible_shapes_rejected(self):
-        with pytest.raises(AnalysisError):
-            abft_matmul(np.ones((3, 4)), np.ones((3, 4)))
 
 
 class TestOverhead:

@@ -46,7 +46,7 @@ class TestPlanCampaign:
         plan = plan_campaign(CampaignSpec(time_scale=0.01))
         for planned in plan.units:
             assert planned.unit.args[1] == 2023  # the root seed
-            assert planned.unit.kwargs["vectorized"] is True
+            assert planned.unit.kwargs == {"with_metrics": False}
 
     def test_units_actually_fly(self):
         # A planned unit is the same WorkUnit Campaign.run would build:
@@ -74,3 +74,13 @@ class TestPlanUnits:
             p.label for p in campaign.plans
         ]
         assert all(u.unit_id.startswith("aaaaaaaaaaaa/") for u in units)
+
+    def test_only_the_scalar_reference_campaign_names_its_path(self):
+        # The scalar injector is the `injector` pairing's reference; a
+        # vectorized campaign's units carry no path flag at all.
+        from repro.harness.campaign import Campaign
+
+        scalar = Campaign(time_scale=0.01, vectorized=False).plan_campaign()
+        vector = Campaign(time_scale=0.01).plan_campaign()
+        assert all(u.unit.kwargs["vectorized"] is False for u in scalar.units)
+        assert all("vectorized" not in u.unit.kwargs for u in vector.units)

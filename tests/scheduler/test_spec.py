@@ -14,7 +14,6 @@ class TestValidation:
         spec = CampaignSpec()
         assert spec.seed == 2023
         assert spec.time_scale == 1.0
-        assert spec.vectorized is True
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -24,7 +23,7 @@ class TestValidation:
             {"time_scale": 0.0},
             {"time_scale": -1.0},
             {"time_scale": "fast"},
-            {"flux_per_cm2_s": -5.0},
+            {"tech_node": "no-such-node"},
             {"priority": 1.5},
             {"priority": False},
             {"max_workers": 0},
@@ -65,20 +64,45 @@ class TestJsonRoundTrip:
 
     def test_to_dict_omits_unset_optionals(self):
         data = CampaignSpec().to_dict()
-        assert "flux_per_cm2_s" not in data
         assert "name" not in data
         assert "max_workers" not in data
+        assert "tech_node" not in data
         full = CampaignSpec(
-            flux_per_cm2_s=1e5, name="x", max_workers=3
+            name="x", max_workers=3, tech_node="7nm"
         ).to_dict()
-        assert full["flux_per_cm2_s"] == 1e5
         assert full["name"] == "x"
         assert full["max_workers"] == 3
+        assert full["tech_node"] == "7nm"
+
+    def test_to_dict_writes_no_retired_knob(self):
+        data = CampaignSpec(seed=5, time_scale=0.1).to_dict()
+        assert set(data) == {"seed", "time_scale", "priority"}
 
     def test_to_json_is_stable(self):
         spec = CampaignSpec(seed=1, time_scale=0.5)
         assert spec.to_json() == CampaignSpec(seed=1, time_scale=0.5).to_json()
         json.loads(spec.to_json())  # well-formed
+
+
+class TestRetiredKnobs:
+    def test_vectorized_true_still_reads(self):
+        # Every spec file written before the knob left carries it.
+        legacy = {"seed": 5, "time_scale": 0.1, "vectorized": True}
+        spec = CampaignSpec.from_dict(legacy)
+        assert spec == CampaignSpec(seed=5, time_scale=0.1)
+        assert spec.submission_id == CampaignSpec(
+            seed=5, time_scale=0.1
+        ).submission_id
+
+    @pytest.mark.parametrize("value", [False, 0, "true", None])
+    def test_vectorized_other_than_true_refused(self, value):
+        with pytest.raises(SchedulerError, match="'vectorized'"):
+            CampaignSpec.from_dict({"seed": 5, "vectorized": value})
+
+    @pytest.mark.parametrize("value", [1.5e6, None])
+    def test_flux_refused(self, value):
+        with pytest.raises(SchedulerError, match="'flux_per_cm2_s'"):
+            CampaignSpec.from_dict({"seed": 5, "flux_per_cm2_s": value})
 
 
 class TestHashIdentity:
@@ -105,7 +129,19 @@ class TestHashIdentity:
         assert a.config_hash() != CampaignSpec(seed=3, time_scale=0.2).config_hash()
         assert (
             a.config_hash()
-            != CampaignSpec(seed=3, time_scale=0.1, vectorized=False).config_hash()
+            != CampaignSpec(seed=3, time_scale=0.1, tech_node="7nm").config_hash()
+        )
+
+    def test_identities_are_pinned(self):
+        # Retiring the flux and injector knobs kept every id: stores,
+        # job files and manifests written before still resolve.
+        assert (
+            CampaignSpec(seed=2023, time_scale=0.5).submission_id
+            == "sub-e6b539afc180"
+        )
+        assert (
+            CampaignSpec(seed=7, time_scale=0.05, tech_node="7nm").submission_id
+            == "sub-884f85628c22"
         )
 
     def test_submission_id_shape(self):

@@ -40,7 +40,7 @@ class TestSpec:
     def test_json_round_trip_inline_and_file(self, tmp_path):
         spec = StoreChaosSpec.from_json('{"torn_write": [0, 3]}')
         assert spec.torn_write == (0, 3)
-        assert spec.total_faults() == 2
+        assert spec.corrupt_commit == spec.stale_read == ()
         path = tmp_path / "chaos.json"
         path.write_text('{"stale_read": [1], "transient_errno": [2]}')
         spec = StoreChaosSpec.from_json(str(path))

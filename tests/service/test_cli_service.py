@@ -39,6 +39,26 @@ class TestSubmit:
         with open(os.path.join(jobs_dir(root), name)) as handle:
             assert json.load(handle)["seed"] == 77
 
+    def test_help_offers_no_flux_or_injector_switch(self, capsys):
+        # Every campaign flies its plans' own flux through the
+        # vectorized injector; neither is a submission knob.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--flux" not in out
+        assert "--no-vectorized" not in out
+
+    def test_legacy_spec_file_with_vectorized_true_submits(
+        self, tmp_path, capsys
+    ):
+        root = str(tmp_path / "root")
+        spec_file = tmp_path / "spec.json"
+        legacy = dict(SPEC.to_dict(), vectorized=True)
+        spec_file.write_text(json.dumps(legacy))
+        assert main(["submit", root, "--spec", str(spec_file)]) == 0
+        assert f"submitted {SPEC.submission_id}" in capsys.readouterr().out
+
     def test_busy_service_exits_5_without_queueing(self, tmp_path, capsys):
         root = str(tmp_path / "root")
         os.makedirs(root)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.scheduler import CampaignSpec
 from repro.service import results_dir, status_path
+from repro.validate.postjob import postjob_report
 
 from .conftest import TIME_SCALE, make_service
 from .test_service import drop_job
@@ -63,3 +64,69 @@ class TestValidationOff:
         )
         with open(status_path(str(root))) as handle:
             assert json.load(handle)["validation"] == {}
+
+
+@pytest.fixture(scope="module")
+def validated_7nm(tmp_path_factory):
+    # At this seed and scale the 28 nm rate model puts session1's
+    # Poisson band at [140, 260] around 7 nm's 25 upsets.
+    root = tmp_path_factory.mktemp("validate7nm") / "root"
+    spec = CampaignSpec(seed=7, time_scale=0.05, tech_node="7nm")
+    service = make_service(
+        root, workers=2, idle_exit_s=0.2, validate=True
+    )
+    drop_job(root, spec)
+    assert service.serve() == 0
+    service.journal.close()
+    folder = results_dir(str(root), spec.submission_id)
+    with open(os.path.join(folder, "campaign.json")) as handle:
+        campaign = json.load(handle)
+    with open(os.path.join(folder, "validation.json")) as handle:
+        report = json.load(handle)
+    return campaign, report
+
+
+def _with_points_of(campaign: dict, node_name: str) -> dict:
+    """*campaign* with every session's point moved onto another node."""
+    from repro.harness.session import TABLE2_SESSION_PLANS
+    from repro.tech import get_node
+
+    node = get_node(node_name)
+    plans = {plan.label: plan for plan in TABLE2_SESSION_PLANS}
+    moved = json.loads(json.dumps(campaign))
+    for label, session in moved["sessions"].items():
+        point = node.scaled_point(plans[label].point)
+        session["plan"]["point"].update(
+            freq_mhz=point.freq_mhz, pmd_mv=point.pmd_mv, soc_mv=point.soc_mv
+        )
+    return moved
+
+
+class TestNodeAwareGate:
+    def test_served_7nm_job_validates(self, validated_7nm):
+        _, report = validated_7nm
+        assert report["ok"] is True, [
+            g for g in report["gates"] if not g["ok"]
+        ]
+        upsets = [
+            g for g in report["gates"] if g["gate"].startswith("postjob/upsets/")
+        ]
+        assert len(upsets) == 4
+
+    def test_28nm_model_on_7nm_output_fails(self, validated_7nm):
+        campaign, _ = validated_7nm
+        report = postjob_report(_with_points_of(campaign, "xgene2-28"))
+        assert report["ok"] is False
+        failed = {g["gate"] for g in report["gates"] if not g["ok"]}
+        assert "postjob/upsets/session1" in failed
+
+    def test_points_of_no_registered_node_fail_one_gate(self, validated_7nm):
+        campaign, _ = validated_7nm
+        foreign = json.loads(json.dumps(campaign))
+        foreign["sessions"]["session1"]["plan"]["point"]["pmd_mv"] += 1
+        report = postjob_report(foreign)
+        failed = [g["gate"] for g in report["gates"] if not g["ok"]]
+        assert failed == ["postjob/node"]
+        assert not any(
+            g["gate"].startswith("postjob/upsets/") for g in report["gates"]
+        )

@@ -20,16 +20,6 @@ class TestFrequency:
     def test_defaults_to_max(self, dvfs):
         assert dvfs.uniform_frequency_mhz == 2400
 
-    def test_per_pair_control(self, dvfs):
-        dvfs.set_pair_frequency(2, 900)
-        assert dvfs.pair_frequency(2) == 900
-        assert dvfs.pair_frequency(0) == 2400
-
-    def test_uniform_frequency_requires_agreement(self, dvfs):
-        dvfs.set_pair_frequency(1, 900)
-        with pytest.raises(FrequencyError):
-            dvfs.uniform_frequency_mhz
-
     def test_grid_validation(self, dvfs):
         with pytest.raises(FrequencyError):
             dvfs.set_all_frequencies(1000)  # not on the 300 MHz grid
@@ -41,12 +31,6 @@ class TestFrequency:
     def test_full_range_reachable(self, dvfs):
         for mhz in range(300, 2401, 300):
             dvfs.set_all_frequencies(mhz)
-
-    def test_unknown_pair_rejected(self, dvfs):
-        with pytest.raises(FrequencyError):
-            dvfs.set_pair_frequency(4, 900)
-        with pytest.raises(FrequencyError):
-            dvfs.pair_frequency(-1)
 
 
 class TestOperatingPoints:

@@ -96,15 +96,6 @@ class TestAggregation:
         assert log.count(severity=EdacSeverity.UE) == 1
         assert log.count(level=CacheLevel.L3, severity=EdacSeverity.CE) == 1
 
-    def test_counts_by_level(self):
-        log = EdacLog()
-        log.log(make_record(1.0))
-        log.log(make_record(2.0))
-        log.log(make_record(3.0, level=CacheLevel.L3, sev=EdacSeverity.UE))
-        counts = log.counts_by_level()
-        assert counts[(CacheLevel.L2, EdacSeverity.CE)] == 2
-        assert counts[(CacheLevel.L3, EdacSeverity.UE)] == 1
-
     def test_merged_sorts_by_time(self):
         a = EdacLog()
         a.log(make_record(3.0))

@@ -42,4 +42,8 @@ class TestDmesgCodecProperties:
         for record in record_list:
             log.log(record)
         rebuilt = EdacLog.from_dmesg(log.to_dmesg())
-        assert rebuilt.counts_by_level() == log.counts_by_level()
+        for level in CacheLevel:
+            for severity in EdacSeverity:
+                assert rebuilt.count(level, severity) == log.count(
+                    level, severity
+                )

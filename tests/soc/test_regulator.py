@@ -9,7 +9,6 @@ from repro.soc.regulator import (
     LoadProfile,
     PowerDeliveryNetwork,
     droop_penalty_mv,
-    guardband_consumed_mv,
 )
 
 
@@ -28,10 +27,6 @@ class TestDroopComponents:
     def test_droop_linear_in_step(self, pdn):
         assert pdn.droop_mv(10.0) == pytest.approx(2 * pdn.droop_mv(5.0))
 
-    def test_inversion(self, pdn):
-        step = pdn.current_step_for_droop(25.0)
-        assert pdn.droop_mv(step) == pytest.approx(25.0)
-
     def test_faster_step_kicks_harder(self):
         slow = PowerDeliveryNetwork(response_time_ns=10.0)
         fast = PowerDeliveryNetwork(response_time_ns=1.0)
@@ -42,8 +37,6 @@ class TestDroopComponents:
             PowerDeliveryNetwork(resistance_mohm=0.0)
         with pytest.raises(ConfigurationError):
             pdn.droop_mv(-1.0)
-        with pytest.raises(ConfigurationError):
-            pdn.current_step_for_droop(-1.0)
 
 
 class TestProfiles:
@@ -88,14 +81,3 @@ class TestPenaltyDerivation:
             > derived["cache-thrash"]
             > derived["bus-toggle"]
         )
-
-
-class TestGuardband:
-    def test_guardband_consumption_positive(self, pdn):
-        for profile in LOAD_PROFILES.values():
-            assert guardband_consumed_mv(profile, pdn) > 0
-
-    def test_virus_consumes_more_guardband(self, pdn):
-        assert guardband_consumed_mv(
-            LOAD_PROFILES["power-virus"], pdn
-        ) > guardband_consumed_mv(LOAD_PROFILES["benchmark-average"], pdn)

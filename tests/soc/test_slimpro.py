@@ -28,25 +28,6 @@ class TestVoltageControl:
         assert point.soc_mv == 920
 
 
-class TestSensors:
-    def test_temperature_in_beam_room_band(self, slim):
-        reading = slim.read_sensors()
-        lo, hi = slim.BEAM_ROOM_TEMP_RANGE_C
-        assert lo <= reading.temperature_c <= hi
-
-    def test_power_drops_with_undervolt(self, chip, slim):
-        nominal = slim.read_sensors().power_watts
-        slim.apply_operating_point(TABLE3_OPERATING_POINTS[3])
-        reduced = slim.read_sensors().power_watts
-        assert reduced < nominal
-
-    def test_temperature_tracks_power(self, chip, slim):
-        hot = slim.read_sensors().temperature_c
-        slim.apply_operating_point(TABLE3_OPERATING_POINTS[3])
-        cool = slim.read_sensors().temperature_c
-        assert cool < hot
-
-
 class TestHealthPolling:
     def test_poll_returns_only_fresh_records(self, chip, slim):
         chip.edac.log(make_record(1.0))

@@ -15,12 +15,13 @@ class TestAssembly:
     def test_sram_capacity(self, chip):
         mib = chip.sram_data_bits / 8 / 1024 / 1024
         assert 9.5 < mib < 10.0
-        assert chip.sram_stored_bits > chip.sram_data_bits
+        stored = sum(a.stored_bits for a in chip.arrays())
+        assert stored > chip.sram_data_bits
 
     def test_array_lookup(self, chip):
         l3 = chip.array("soc.l3")
         assert l3.domain == "soc"
-        assert chip.level_of("soc.l3") == CacheLevel.L3
+        assert chip.spec("soc.l3").level == CacheLevel.L3
         with pytest.raises(ConfigurationError):
             chip.array("nope")
         with pytest.raises(ConfigurationError):
@@ -62,7 +63,7 @@ class TestPowerCycle:
         assert len(chip.edac) == 1
         chip.power_cycle()
         assert len(chip.edac) == 0
-        assert chip.array("soc.l3").dirty_words == []
+        assert list(chip.array("soc.l3").scrub()) == []
 
     def test_power_cycle_preserves_operating_point(self, chip):
         chip.apply_operating_point(TABLE3_OPERATING_POINTS[2])

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import GeometryError, InjectionError
 from repro.sram.array import ArrayGeometry, SramArray
@@ -35,7 +33,7 @@ class TestGeometry:
     def test_from_bytes(self):
         geo = ArrayGeometry.from_bytes("x", 32 * 1024, data_bits=32)
         assert geo.words == 8192
-        assert geo.data_bits_total == 32 * 1024 * 8
+        assert geo.words * geo.data_bits == 32 * 1024 * 8
 
     def test_from_bytes_rejects_indivisible(self):
         with pytest.raises(GeometryError):
@@ -95,8 +93,8 @@ class TestInjectAndAccess:
     def test_access_clears_flips(self):
         array = make_secded_array()
         array.inject_bit_flip(5, 10)
-        array.access(5)
-        assert array.pending_flips(5) == 0
+        _, first = array.access(5)
+        assert first is not None
         _, record = array.access(5)
         assert record is None
 
@@ -104,8 +102,8 @@ class TestInjectAndAccess:
         array = make_secded_array()
         array.inject_bit_flip(5, 10)
         array.inject_bit_flip(5, 10)
-        assert array.pending_flips(5) == 0
-        assert array.dirty_words == []
+        assert array.access(5)[1] is None
+        assert list(array.scrub()) == []
 
     def test_out_of_range_rejected(self):
         array = make_secded_array(words=8)
@@ -151,39 +149,11 @@ class TestScrub:
         for word in (1, 5, 9):
             array.inject_bit_flip(word, word)
         records = list(array.scrub())
-        assert len(records) == 3
-        assert array.dirty_words == []
+        assert sorted(r.word for r in records) == [1, 5, 9]
+        assert list(array.scrub()) == []
 
     def test_clear_drops_state_silently(self):
         array = make_secded_array()
         array.inject_bit_flip(1, 1)
         array.clear()
-        assert array.dirty_words == []
         assert list(array.scrub()) == []
-
-    @given(
-        flips=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=63),
-                st.integers(min_value=0, max_value=71),
-            ),
-            max_size=20,
-        )
-    )
-    @settings(max_examples=50)
-    def test_dirty_words_match_odd_flip_parity(self, flips):
-        # A word is dirty iff some bit was flipped an odd number of times.
-        array = make_secded_array()
-        from collections import Counter
-
-        counter = Counter(flips)
-        for word, bit in flips:
-            array.inject_bit_flip(word, bit)
-        expected = {
-            word
-            for word in range(64)
-            if any(
-                counter[(word, bit)] % 2 == 1 for bit in range(72)
-            )
-        }
-        assert set(array.dirty_words) == expected

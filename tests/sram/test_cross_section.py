@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.sram.cross_section import (
     CrossSectionModel,
-    calibrate_sigma0,
     fit_voltage_slope,
 )
 
@@ -26,12 +25,6 @@ class TestCrossSectionModel:
         model = CrossSectionModel(nominal_mv=900)
         assert model.multiplier(950) < 1.0
 
-    def test_rate_scales_with_flux(self):
-        model = CrossSectionModel()
-        assert model.upset_rate_per_bit_s(980, 2e6) == pytest.approx(
-            2.0 * model.upset_rate_per_bit_s(980, 1e6)
-        )
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             CrossSectionModel(sigma0_cm2=0)
@@ -39,13 +32,6 @@ class TestCrossSectionModel:
             CrossSectionModel(voltage_slope=-1)
         with pytest.raises(ConfigurationError):
             CrossSectionModel().sigma_cm2(0)
-        with pytest.raises(ConfigurationError):
-            CrossSectionModel().upset_rate_per_bit_s(980, -1)
-
-    def test_with_sigma0_preserves_slope(self):
-        model = CrossSectionModel(voltage_slope=2.5).with_sigma0(3e-15)
-        assert model.sigma0_cm2 == pytest.approx(3e-15)
-        assert model.voltage_slope == pytest.approx(2.5)
 
     @given(
         slope=st.floats(min_value=0.0, max_value=10.0),
@@ -74,27 +60,3 @@ class TestCalibration:
             fit_voltage_slope(980, 920, 0.0)
         with pytest.raises(ConfigurationError):
             fit_voltage_slope(-1, 920, 1.1)
-
-    def test_calibrate_sigma0_inverts_rate_formula(self):
-        sigma0 = calibrate_sigma0(
-            target_rate_per_min=1.01,
-            total_bits=80e6,
-            flux_per_cm2_s=1.5e6,
-            detection_efficiency=0.5,
-        )
-        rate = sigma0 * 80e6 * 1.5e6 * 0.5 * 60
-        assert rate == pytest.approx(1.01)
-
-    def test_calibrate_sigma0_magnitude_plausible(self):
-        # With full detection the implied sigma0 sits below the raw
-        # 1e-15 cm^2/bit of 28 nm SRAM (workload masking).
-        sigma0 = calibrate_sigma0(1.01, 80.2e6, 1.5e6)
-        assert 1e-17 < sigma0 < 1e-15
-
-    def test_calibrate_sigma0_validates(self):
-        with pytest.raises(ConfigurationError):
-            calibrate_sigma0(0, 1, 1)
-        with pytest.raises(ConfigurationError):
-            calibrate_sigma0(1, 1, 1, detection_efficiency=0)
-        with pytest.raises(ConfigurationError):
-            calibrate_sigma0(1, 1, 1, detection_efficiency=1.5)

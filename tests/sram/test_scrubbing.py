@@ -1,7 +1,5 @@
 """Scrubbing policy model."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -34,47 +32,6 @@ class TestAccumulation:
         r2 = model.accumulated_due_rate_per_s(200.0)
         assert r2 == pytest.approx(2 * r1, rel=0.01)
 
-    def test_total_rate_includes_mbu_floor(self, model):
-        total = model.total_due_rate_per_s(100.0)
-        assert total > model.mbu_due_rate_per_s
-        assert total == pytest.approx(
-            model.accumulated_due_rate_per_s(100.0) + model.mbu_due_rate_per_s
-        )
-
-
-class TestPolicy:
-    def test_interval_for_budget_inverts_rate(self, model):
-        budget = 1e-6
-        interval = model.interval_for_due_budget(budget)
-        achieved = model.accumulated_due_rate_per_s(interval)
-        assert achieved == pytest.approx(budget, rel=0.05)
-
-    def test_zero_rate_never_needs_scrubbing(self):
-        quiet = ScrubbingModel(words=100, word_upset_rate_per_s=0.0)
-        assert quiet.interval_for_due_budget(1e-9) == math.inf
-
-    def test_scrub_power_inverse_in_interval(self, model):
-        assert model.scrub_power_w(1.0) == pytest.approx(
-            10 * model.scrub_power_w(10.0)
-        )
-
-    def test_diminishing_returns_crossover(self, model):
-        crossover = model.diminishing_returns_interval_s()
-        # The closed form uses the rare-event quadratic; the exact
-        # Poisson evaluation sits within ~10% at lam*T ~ 0.1.
-        assert model.accumulated_due_rate_per_s(crossover) == pytest.approx(
-            model.mbu_due_rate_per_s, rel=0.10
-        )
-        # Above the crossover, accumulation dominates; below, MBUs do.
-        assert (
-            model.accumulated_due_rate_per_s(crossover * 10)
-            > model.mbu_due_rate_per_s
-        )
-
-    def test_no_mbu_floor_infinite_crossover(self):
-        model = ScrubbingModel(words=100, word_upset_rate_per_s=1e-9)
-        assert model.diminishing_returns_interval_s() == math.inf
-
 
 class TestFactory:
     def test_from_level_rate_splits_sbu_mbu(self):
@@ -96,8 +53,6 @@ class TestFactory:
             model_from_level_rate(
                 words=10, level_rate_per_min=1.0, mbu_fraction=1.0
             )
-        with pytest.raises(ConfigurationError):
-            ScrubbingModel(words=10, word_upset_rate_per_s=1e-9).scrub_power_w(0.0)
         with pytest.raises(ConfigurationError):
             ScrubbingModel(
                 words=10, word_upset_rate_per_s=1e-9

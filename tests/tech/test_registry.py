@@ -6,7 +6,6 @@ from repro.errors import TechError
 from repro.tech import (
     DEFAULT_NODE,
     TechNode,
-    default_node,
     get_node,
     list_nodes,
     register_node,
@@ -39,7 +38,7 @@ class TestBuiltins:
             assert name in names
 
     def test_default_node_is_the_paper_chip(self):
-        node = default_node()
+        node = get_node(DEFAULT_NODE)
         assert node.name == DEFAULT_NODE == "xgene2-28"
         assert node.is_default
         assert node.process_nm == 28

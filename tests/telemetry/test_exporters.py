@@ -1,13 +1,10 @@
-"""JSON, Prometheus text format, and console summary exporters."""
-
-import json
+"""Prometheus text format and console summary exporters."""
 
 from repro.telemetry import (
     MetricsRegistry,
     RunManifest,
     Tracer,
     console_summary,
-    metrics_to_json,
     metrics_to_prometheus,
 )
 
@@ -21,19 +18,6 @@ def populated_registry():
     for value in (0.05, 0.5, 2.0):
         hist.observe(value)
     return registry
-
-
-class TestJson:
-    def test_json_is_the_registry_snapshot(self):
-        registry = populated_registry()
-        data = json.loads(metrics_to_json(registry))
-        assert data == registry.to_dict()
-
-    def test_accepts_plain_dict(self):
-        registry = populated_registry()
-        assert metrics_to_json(registry.to_dict()) == metrics_to_json(
-            registry
-        )
 
 
 class TestPrometheus:

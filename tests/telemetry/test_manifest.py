@@ -94,7 +94,6 @@ class TestResultsDirectoryStorage:
         results = ResultsDirectory(tmp_path / "out")
         manifest = make_manifest(stages={"cli.fly": 0.25})
         results.save_manifest(manifest)
-        assert results.has_manifest()
         assert results.load_manifest() == manifest
 
     def test_saved_file_is_sorted_json(self, tmp_path):
@@ -106,6 +105,5 @@ class TestResultsDirectoryStorage:
 
     def test_load_missing_raises_readable_error(self, tmp_path):
         results = ResultsDirectory(tmp_path / "empty")
-        assert not results.has_manifest()
         with pytest.raises(AnalysisError, match="manifest"):
             results.load_manifest()

@@ -97,9 +97,7 @@ class TestJsonRoundtrip:
 class TestResultsDirectory:
     def test_save_and_reload(self, campaign, tmp_path):
         results = ResultsDirectory(str(tmp_path / "run1"))
-        assert not results.has_campaign()
         results.save_campaign(campaign)
-        assert results.has_campaign()
         reloaded = results.load_campaign()
         assert reloaded.labels() == campaign.labels()
 

@@ -10,34 +10,9 @@ def test_mv_volts_roundtrip():
     assert units.volts_to_mv(units.mv_to_volts(123.0)) == pytest.approx(123.0)
 
 
-def test_mhz_to_hz():
-    assert units.mhz_to_hz(2400) == pytest.approx(2.4e9)
-
-
-def test_minutes_seconds_roundtrip():
-    assert units.minutes_to_seconds(2.5) == pytest.approx(150.0)
-    assert units.seconds_to_minutes(units.minutes_to_seconds(7.0)) == pytest.approx(7.0)
-
-
-def test_hours_seconds_roundtrip():
-    assert units.hours_to_seconds(1.0) == pytest.approx(3600.0)
-    assert units.seconds_to_hours(units.hours_to_seconds(3.5)) == pytest.approx(3.5)
-
-
 def test_hours_to_years():
     assert units.hours_to_years(24.0 * 365.25) == pytest.approx(1.0)
 
 
-def test_bytes_to_bits():
-    assert units.bytes_to_bits(32 * 1024) == 262144
-
-
 def test_bits_to_mbit_uses_decimal_convention():
     assert units.bits_to_mbit(1_000_000) == pytest.approx(1.0)
-
-
-def test_rate_conversions_are_inverse():
-    assert units.per_second_to_per_minute(0.5) == pytest.approx(30.0)
-    assert units.per_minute_to_per_second(
-        units.per_second_to_per_minute(0.123)
-    ) == pytest.approx(0.123)

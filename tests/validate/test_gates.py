@@ -224,7 +224,7 @@ class TestSeedLadder:
         ladder = SeedLadder([7], required=1)
         result = ladder.run("g", lambda seed: (False, "too low"))
         assert not result.ok
-        assert "too low" in result.to_gate().detail
+        assert result.trials[0].detail == "too low"
 
     def test_crashed_rung_is_a_failed_rung(self):
         ladder = SeedLadder([1, 2], required=2)
@@ -236,7 +236,8 @@ class TestSeedLadder:
 
         result = ladder.run("g", check)
         assert not result.ok
-        assert "boom" in result.to_gate().detail
+        assert [t.ok for t in result.trials] == [True, False]
+        assert "boom" in result.trials[1].detail
 
     def test_run_counting_pools_events(self):
         ladder = SeedLadder([1, 2, 3], required=1)

@@ -63,18 +63,6 @@ class TestFaultSensitivity:
 
 
 class TestStructure:
-    def test_footprint_positive(self, workload):
-        assert workload.footprint_bytes() > 0
-
-    def test_data_arrays_nonempty(self, workload):
-        state = workload.build_state()
-        arrays = workload.data_arrays(state)
-        assert arrays
-        assert all(isinstance(a, np.ndarray) for a in arrays)
-
-    def test_scale_changes_footprint(self, workload):
-        bigger = make_workload(workload.name, scale=0.5, seed=77)
-        assert bigger.footprint_bytes() > workload.footprint_bytes()
 
     def test_result_carries_name_and_iterations(self, workload):
         result = workload.run()

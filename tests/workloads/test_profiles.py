@@ -11,7 +11,6 @@ from repro.workloads.profiles import (
     WorkloadProfile,
     benchmark_rate_share,
     mean_runtime_s,
-    suite_detection_efficiency,
 )
 from repro.workloads.suite import SUITE_NAMES
 
@@ -34,9 +33,6 @@ class TestProfiles:
         assert mean_runtime_s() == pytest.approx(
             np.mean([p.runtime_s for p in PROFILES.values()])
         )
-
-    def test_suite_detection_efficiency_positive(self):
-        assert 0 < suite_detection_efficiency("L3 Cache") < 1
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ConfigurationError):
