@@ -39,6 +39,7 @@ scheduling, the physics does not.
 from __future__ import annotations
 
 import pickle
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -114,6 +115,12 @@ _WORKER_STATE: Dict[str, Any] = {"warmed": False, "chunks": 0}
 
 
 def _initialize_worker(spec: WarmupSpec) -> None:
+    # A forked worker inherits asyncio's wakeup fd, so its signals would
+    # land in the owner's self-pipe.  SIGTERM ends the worker alone;
+    # Ctrl-C is the owner's to handle, and it drains the pool.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     warm_process(spec)
     _WORKER_STATE["warmed"] = True
 
@@ -299,7 +306,11 @@ class WorkerPool:
     def submit(self, fn, /, *args, **kwargs):
         """One unit, one future -- for callers that need per-unit
         timeouts and retry budgets (the supervised executor)."""
-        return self.ensure().submit(fn, *args, **kwargs)
+        try:
+            return self.ensure().submit(fn, *args, **kwargs)
+        except BrokenProcessPool:  # a worker died while the pool idled
+            self.mark_broken()
+            return self.ensure().submit(fn, *args, **kwargs)
 
     # -- chunked dispatch --------------------------------------------------------
 

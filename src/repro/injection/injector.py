@@ -19,10 +19,12 @@ the MBU model's multi-cell probability is calibrated to that figure.
 
 Two realization paths exist:
 
-* the **vectorized** path (default) batches the Poisson draws across
-  levels, the array/word selection, and the cluster-size sampling into
-  whole-array numpy operations, caches the per-(operating point,
-  benchmark, flux) rate vectors, and classifies severities through
+* the **vectorized** path (default) draws every level's Poisson count
+  before any event (scalar draws, in the order and with the values of
+  one batched draw over the levels), batches the array/word selection
+  and the cluster-size sampling into whole-array numpy operations,
+  caches the per-(operating point, benchmark, flux) rates, and
+  classifies severities through
   :meth:`~repro.sram.array.SramArray.classify_flip_count` -- falling
   back to the real codec only for the rare multi-bit words where the
   outcome depends on concrete bit positions;
@@ -44,6 +46,7 @@ import numpy as np
 
 from ..constants import TNF_HALO_FLUX_PER_CM2_S
 from ..errors import InjectionError
+from ..soc.dvfs import OperatingPoint
 from ..soc.edac import EdacSeverity
 from ..soc.geometry import CacheLevel
 from ..soc.xgene2 import XGene2
@@ -168,7 +171,7 @@ class BeamInjector:
         # level, aligned with self._levels.  Rates are pure functions of
         # that key, and a session re-runs the same handful of keys
         # thousands of times.
-        self._rate_cache: Dict[tuple, np.ndarray] = {}
+        self._rate_cache: Dict[tuple, Tuple[float, ...]] = {}
         # Pre-bound counter handles: the hot path pays one attribute
         # load and an integer add, never a registry lookup.
         self._exposures_counter = None
@@ -188,7 +191,18 @@ class BeamInjector:
         flux_per_cm2_s: float = TNF_HALO_FLUX_PER_CM2_S,
     ) -> float:
         """Expected detected upsets/minute at one level, current voltages."""
-        point = self.chip.operating_point()
+        return self._rate_per_min(
+            level, self.chip.operating_point(), benchmark, flux_per_cm2_s
+        )
+
+    def _rate_per_min(
+        self,
+        level: CacheLevel,
+        point: OperatingPoint,
+        benchmark: Optional[str],
+        flux_per_cm2_s: float,
+    ) -> float:
+        """Expected detected upsets/minute at one level and *point*."""
         rate = sum(
             self.rate_model.rate_per_min(
                 level, corrected, point.pmd_mv, point.soc_mv, flux_per_cm2_s
@@ -201,24 +215,18 @@ class BeamInjector:
 
     def _expected_rates(
         self,
+        point: OperatingPoint,
         benchmark: Optional[str],
         flux_per_cm2_s: float,
-    ) -> np.ndarray:
+    ) -> Tuple[float, ...]:
         """Cached expected upsets/minute for every level (flight order)."""
-        point = self.chip.operating_point()
         key = (benchmark, point.pmd_mv, point.soc_mv, flux_per_cm2_s)
         rates = self._rate_cache.get(key)
         if rates is None:
-            rates = np.array(
-                [
-                    self.expected_rate_per_min(
-                        level, benchmark, flux_per_cm2_s
-                    )
-                    for level in self._levels
-                ],
-                dtype=float,
+            rates = self._rate_cache[key] = tuple(
+                self._rate_per_min(level, point, benchmark, flux_per_cm2_s)
+                for level in self._levels
             )
-            self._rate_cache[key] = rates
         return rates
 
     def _undervolt_fraction(self, level: CacheLevel, pmd_mv: float, soc_mv: float) -> float:
@@ -288,13 +296,14 @@ class BeamInjector:
     ) -> InjectionSummary:
         summary = InjectionSummary(duration_s=duration_s)
         point = self.chip.operating_point()
-        expected = self._expected_rates(benchmark, flux_per_cm2_s) * (
-            duration_s / 60.0
-        )
-        # One batched Poisson draw across all levels.
-        n_events = rng.poisson(expected) if expected.size else np.empty(0)
+        minutes = duration_s / 60.0
+        # Every level's count first, then the events: the draw order of
+        # one batched Poisson draw over the levels.
+        n_events = [
+            rng.poisson(rate * minutes)
+            for rate in self._expected_rates(point, benchmark, flux_per_cm2_s)
+        ]
         for level, n in zip(self._levels, n_events):
-            n = int(n)
             if n == 0:
                 continue
             if self._event_counters:

@@ -18,7 +18,7 @@ drawn from the Fig. 12/13 probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Mapping
 
 import numpy as np
 
@@ -54,8 +54,12 @@ class OutcomeModel:
         self,
         point: OperatingPoint,
         flux_per_cm2_s: float = TNF_HALO_FLUX_PER_CM2_S,
-    ) -> Dict[OutcomeKind, float]:
-        """Expected failures/minute per category at an operating point."""
+    ) -> Mapping[OutcomeKind, float]:
+        """Expected failures/minute per category at an operating point.
+
+        The mapping is the model's cached one, in flight order; callers
+        read it and never mutate it.
+        """
         if flux_per_cm2_s < 0:
             raise InjectionError("flux must be nonnegative")
         key = (point.freq_mhz, point.pmd_mv, flux_per_cm2_s)
@@ -68,7 +72,7 @@ class OutcomeModel:
                 for cat, rate in raw.items()
             }
             self._rate_cache[key] = cached
-        return dict(cached)
+        return cached
 
     def _notification_probability(
         self, freq_mhz: int, pmd_mv: int
@@ -98,25 +102,21 @@ class OutcomeModel:
         """
         if duration_s < 0:
             raise InjectionError("duration must be nonnegative")
-        events: List[FailureEvent] = []
         rates = self.rates_per_min(point, flux_per_cm2_s)
-        p_notify = self._notification_probability(
-            point.freq_mhz, point.pmd_mv
-        )
-        kinds = list(rates)
-        # One batched Poisson draw across the three categories.
-        counts = rng.poisson(
-            np.array(
-                [rates[kind] * duration_s / 60.0 for kind in kinds]
-            )
-        )
-        for kind, count in zip(kinds, counts):
-            count = int(count)
+        # Every category's count first, then the events: the draw order
+        # of one batched Poisson draw over the categories.
+        counts = [
+            rng.poisson(rate * duration_s / 60.0) for rate in rates.values()
+        ]
+        events: List[FailureEvent] = []
+        for kind, count in zip(rates, counts):
             if count == 0:
                 continue
             times = rng.uniform(0.0, duration_s, size=count)
             if kind is OutcomeKind.SDC:
-                notified = rng.random(count) < p_notify
+                notified = rng.random(count) < self._notification_probability(
+                    point.freq_mhz, point.pmd_mv
+                )
             else:
                 notified = np.zeros(count, dtype=bool)
             for t, n in zip(times, notified):

@@ -192,8 +192,11 @@ class Broker:
         # drain), which dominated the drain overhead at scale.
         self._pending_units = 0
         self._inflight_units = 0
-        # Leased units per submission, for --max-workers quotas.
-        self._inflight_by_sub: Dict[str, int] = {}
+        # Each submission's records (plan order) and state counts, kept
+        # exact by submit and _set_status, so no query scans every unit
+        # ever submitted.
+        self._sub_records: Dict[str, List[_UnitRecord]] = {}
+        self._sub_counts: Dict[str, Dict[str, int]] = {}
 
     # -- bookkeeping helpers -----------------------------------------------------
 
@@ -225,17 +228,17 @@ class Broker:
         old = record.status
         if old == status:
             return
-        sid = record.submission_id
         if old == PENDING:
             self._pending_units -= 1
         elif old == LEASED:
             self._inflight_units -= 1
-            self._inflight_by_sub[sid] = self._inflight_by_sub.get(sid, 1) - 1
         if status == PENDING:
             self._pending_units += 1
         elif status == LEASED:
             self._inflight_units += 1
-            self._inflight_by_sub[sid] = self._inflight_by_sub.get(sid, 0) + 1
+        counts = self._sub_counts[record.submission_id]
+        counts[old] -= 1
+        counts[status] = counts.get(status, 0) + 1
         record.status = status
 
     def _refence(self) -> None:
@@ -318,6 +321,8 @@ class Broker:
         )
         self._sub_seq += 1
         self._submissions[sid] = submission
+        records = self._sub_records[sid] = []
+        self._sub_counts[sid] = {PENDING: len(plan.units)}
         for planned in plan.units:
             record = _UnitRecord(
                 planned=planned,
@@ -326,6 +331,7 @@ class Broker:
                 sub_seq=submission.sub_seq,
             )
             self._units[planned.unit_id] = record
+            records.append(record)
             self._pending_units += 1
             if planned.unit_id in recovered:
                 self._set_status(record, DONE)
@@ -420,10 +426,8 @@ class Broker:
         submission = self._submissions.get(submission_id)
         if submission is None or submission.max_workers is None:
             return False
-        return (
-            self._inflight_by_sub.get(submission_id, 0)
-            >= submission.max_workers
-        )
+        leased = self._sub_counts[submission_id].get(LEASED, 0)
+        return leased >= submission.max_workers
 
     def _publish_lease(self, record: _UnitRecord) -> bool:
         """Publish a fresh lease to the store; False when fenced twice.
@@ -649,11 +653,8 @@ class Broker:
             )
         submission.cancelled = True
         dropped = 0
-        for record in self._units.values():
-            if (
-                record.submission_id == submission_id
-                and record.status == PENDING
-            ):
+        for record in self._sub_records[submission_id]:
+            if record.status == PENDING:
                 self._set_status(record, CANCELLED)
                 dropped += 1
         self.telemetry.count("scheduler.cancelled", n=dropped)
@@ -696,43 +697,36 @@ class Broker:
 
     def is_settled(self, submission_id: str) -> bool:
         """True when no unit of the submission can still change state."""
-        units = self._submission_units(submission_id)
-        return all(
-            r.status in (DONE, FAILED, CANCELLED) for r in units
-        )
+        counts = self._unit_counts(submission_id)
+        return not counts.get(PENDING) and not counts.get(LEASED)
 
     def is_complete(self, submission_id: str) -> bool:
         """True when every unit of the submission completed."""
-        units = self._submission_units(submission_id)
-        return bool(units) and all(r.status == DONE for r in units)
+        done = self._unit_counts(submission_id).get(DONE, 0)
+        return done > 0 and done == len(self._sub_records[submission_id])
 
     def entries_for(self, submission_id: str) -> List[dict]:
         """Committed payload dicts of a submission, in plan order."""
-        units = self._submission_units(submission_id)
+        self.submission(submission_id)  # raise on unknown ids
+        records = self._sub_records[submission_id]
         return [
             r.payload
-            for r in sorted(units, key=lambda r: r.planned.seq)
+            for r in sorted(records, key=lambda r: r.planned.seq)
             if r.payload is not None
         ]
 
-    def _submission_units(self, submission_id: str) -> List[_UnitRecord]:
+    def _unit_counts(self, submission_id: str) -> Dict[str, int]:
+        """One submission's ``{state: units}``, empty states left out."""
         self.submission(submission_id)  # raise on unknown ids
-        return [
-            r
-            for r in self._units.values()
-            if r.submission_id == submission_id
-        ]
+        counts = self._sub_counts[submission_id]
+        return {state: n for state, n in counts.items() if n}
 
     def status(self) -> dict:
         """JSON-shaped scheduler state (the ``status.json`` payload)."""
-        subs = []
-        for submission in self.submissions():
-            counts: Dict[str, int] = {}
-            for record in self._submission_units(
-                submission.submission_id
-            ):
-                counts[record.status] = counts.get(record.status, 0) + 1
-            subs.append(submission.to_dict(counts))
+        subs = [
+            submission.to_dict(self._unit_counts(submission.submission_id))
+            for submission in self.submissions()
+        ]
         return {
             "schema": 1,
             "broker": self.broker_id,

@@ -18,7 +18,7 @@ Vmin     900 MHz      790 mV       950 mV
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from .. import constants
 from ..errors import FrequencyError
@@ -65,7 +65,8 @@ class DvfsController:
 
     DVFS (automatic scaling) stays disabled, matching the experiments;
     this class only applies explicit operating points and validates them
-    against the hardware's reachable grid.
+    against the hardware's reachable grid.  The experiments clock every
+    pair alike, so the model keeps one clock for all of them.
     """
 
     def __init__(
@@ -75,7 +76,6 @@ class DvfsController:
         freq_min_mhz: int = None,
         freq_max_mhz: int = None,
         freq_step_mhz: int = None,
-        num_pairs: int = None,
     ) -> None:
         self._pmd = pmd
         self._soc = soc
@@ -94,28 +94,17 @@ class DvfsController:
             raise FrequencyError("frequency range must be positive and ordered")
         if self.freq_step_mhz <= 0:
             raise FrequencyError("frequency step must be positive")
-        pairs = constants.NUM_PAIRS if num_pairs is None else int(num_pairs)
-        if pairs < 1:
-            raise FrequencyError("need at least one core pair")
-        self._pair_freq_mhz: Dict[int, int] = {
-            pair: self.freq_max_mhz for pair in range(pairs)
-        }
+        self._freq_mhz = self.freq_max_mhz
+        # The last snapshot and the (freq, pmd, soc) it was taken at.
+        self._key = None
+        self._point = None
 
     # -- frequency --------------------------------------------------------------
 
     def set_all_frequencies(self, mhz: int) -> None:
         """Set every pair to the same clock (the experiments' usage)."""
         self._validate_frequency(mhz)
-        for pair in self._pair_freq_mhz:
-            self._pair_freq_mhz[pair] = int(mhz)
-
-    @property
-    def uniform_frequency_mhz(self) -> int:
-        """The common clock when all pairs agree (the experiments' case)."""
-        freqs = set(self._pair_freq_mhz.values())
-        if len(freqs) != 1:
-            raise FrequencyError("pairs run at different frequencies")
-        return next(iter(freqs))
+        self._freq_mhz = int(mhz)
 
     def _validate_frequency(self, mhz: int) -> None:
         if not self.freq_min_mhz <= mhz <= self.freq_max_mhz:
@@ -136,14 +125,18 @@ class DvfsController:
         self._pmd.set_voltage(point.pmd_mv)
         self._soc.set_voltage(point.soc_mv)
 
-    def current_point(self, label: str = "current") -> OperatingPoint:
-        """Snapshot the chip's present setting as an operating point."""
-        return OperatingPoint(
-            label=label,
-            freq_mhz=self.uniform_frequency_mhz,
-            pmd_mv=self._pmd.voltage_mv,
-            soc_mv=self._soc.voltage_mv,
-        )
+    def current_point(self) -> OperatingPoint:
+        """Snapshot the chip's present setting as an operating point.
+
+        The snapshot is rebuilt only when the live clock or a domain
+        voltage moved since the last call; a session reads its pinned
+        point twice per benchmark run.
+        """
+        key = (self._freq_mhz, self._pmd.voltage_mv, self._soc.voltage_mv)
+        if key != self._key:
+            self._key = key
+            self._point = OperatingPoint("current", *key)
+        return self._point
 
     def domain_voltage_mv(self, domain: str) -> int:
         """Voltage of the named domain ("pmd" / "soc"), in millivolts."""

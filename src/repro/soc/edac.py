@@ -100,10 +100,8 @@ class EdacLog:
     def __iter__(self):
         return iter(self._records)
 
-    @property
-    def records(self) -> List[EdacRecord]:
-        """All records in arrival order."""
-        return list(self._records)
+    def __getitem__(self, index):
+        return self._records[index]
 
     def log(self, record: EdacRecord) -> None:
         """Append one record."""

@@ -73,7 +73,6 @@ class XGene2:
                 freq_min_mhz=node.freq_step_mhz,
                 freq_max_mhz=node.nominal_freq_mhz,
                 freq_step_mhz=node.freq_step_mhz,
-                num_pairs=node.num_cores // 2,
             )
         self.edac = EdacLog()
         if power_model is not None:
@@ -82,7 +81,7 @@ class XGene2:
             self.power_model = PowerModel.for_node(node)
         else:
             self.power_model = PowerModel.calibrated()
-        self.slimpro = SlimPro(self.dvfs, self.edac)
+        self.slimpro = SlimPro(self.edac)
 
         if structures is not None:
             specs = structures

@@ -10,6 +10,7 @@ import glob
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -62,9 +63,13 @@ def _first_commit(root):
     return lambda: os.path.isdir(commits) and bool(os.listdir(commits))
 
 
-def _assembled(root, seed):
+def _result(root, seed):
     sid = CampaignSpec(seed=seed, time_scale=float(TIME_SCALE)).submission_id
-    with open(os.path.join(results_dir(root, sid), "campaign.json"), "rb") as f:
+    return os.path.join(results_dir(root, sid), "campaign.json")
+
+
+def _assembled(root, seed):
+    with open(_result(root, seed), "rb") as f:
         return f.read()
 
 
@@ -122,6 +127,67 @@ class TestDrain:
 
         code, _, err = _run_to_idle(_serve_argv(root, "broker-drain"))
         assert code == 0, err
+        assert _assembled(root, DRAIN_SEED) == plain_runs[DRAIN_SEED]
+
+
+def _pool_workers(pid):
+    """Live pids forked by *pid* that still run its command line."""
+    def read(path):
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    cmdline = read(f"/proc/{pid}/cmdline")
+    workers = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            state, ppid = read(f"/proc/{entry}/stat").rsplit(b")", 1)[1].split()[:2]
+            same = read(f"/proc/{entry}/cmdline") == cmdline
+        except OSError:
+            continue  # exited while we looked
+        if int(ppid) == pid and state != b"Z" and same:
+            workers.append(int(entry))
+    return workers
+
+
+def _wait_for(condition):
+    deadline = time.monotonic() + cli_process.TIMEOUT_S
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads pool workers off /proc"
+)
+class TestWorkerSignal:
+    def test_sigterm_to_one_worker_leaves_the_service_serving(
+        self, tmp_path, plain_runs
+    ):
+        root = str(tmp_path / "root")
+        _submit(root, BASELINE_SEED)
+        proc = cli_process.spawn(_serve_argv(root, "broker-w"))
+        try:
+            _wait_for(lambda: os.path.exists(_result(root, BASELINE_SEED)))
+            _wait_for(lambda: len(_pool_workers(proc.pid)) == 2)
+            victim = _pool_workers(proc.pid)[0]
+            os.kill(victim, signal.SIGTERM)
+            _wait_for(lambda: victim not in _pool_workers(proc.pid))
+            assert proc.poll() is None, proc.communicate()[1]
+            with open(os.path.join(root, "status.json")) as handle:
+                assert json.load(handle)["state"] == "serving"
+
+            _submit(root, DRAIN_SEED)
+            _wait_for(lambda: os.path.exists(_result(root, DRAIN_SEED)))
+            respawned = _pool_workers(proc.pid)
+            code, _, err = cli_process.signal_when(proc, lambda: True)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert code == EXIT_INTERRUPTED, err
+        assert len(respawned) == 2 and victim not in respawned
         assert _assembled(root, DRAIN_SEED) == plain_runs[DRAIN_SEED]
 
 

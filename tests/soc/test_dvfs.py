@@ -18,7 +18,7 @@ def dvfs():
 
 class TestFrequency:
     def test_defaults_to_max(self, dvfs):
-        assert dvfs.uniform_frequency_mhz == 2400
+        assert dvfs.current_point().freq_mhz == 2400
 
     def test_grid_validation(self, dvfs):
         with pytest.raises(FrequencyError):
@@ -49,7 +49,7 @@ class TestOperatingPoints:
     def test_apply_and_snapshot_roundtrip(self, dvfs):
         for point in TABLE3_OPERATING_POINTS:
             dvfs.apply(point)
-            snap = dvfs.current_point(point.label)
+            snap = dvfs.current_point()
             assert (snap.freq_mhz, snap.pmd_mv, snap.soc_mv) == (
                 point.freq_mhz,
                 point.pmd_mv,

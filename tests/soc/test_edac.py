@@ -32,7 +32,7 @@ class TestDmesgRoundtrip:
         log.log(make_record(2.0, level=CacheLevel.L3, sev=EdacSeverity.UE, bits=2))
         log.log(make_record(3.0, level=CacheLevel.TLB))
         rebuilt = EdacLog.from_dmesg(log.to_dmesg())
-        assert rebuilt.records == log.records
+        assert list(rebuilt) == list(log)
 
     def test_unparseable_line_rejected(self):
         with pytest.raises(AnalysisError):
@@ -102,7 +102,7 @@ class TestAggregation:
         b = EdacLog()
         b.log(make_record(1.0))
         merged = a.merged([b])
-        assert [r.time_s for r in merged.records] == [1.0, 3.0]
+        assert [r.time_s for r in merged] == [1.0, 3.0]
 
     def test_clear(self):
         log = EdacLog()

@@ -33,7 +33,7 @@ class TestDmesgCodecProperties:
         for record in record_list:
             log.log(record)
         rebuilt = EdacLog.from_dmesg(log.to_dmesg())
-        assert rebuilt.records == log.records
+        assert list(rebuilt) == list(log)
 
     @given(record_list=st.lists(records, max_size=30))
     @settings(max_examples=50)

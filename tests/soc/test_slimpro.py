@@ -22,8 +22,8 @@ def make_record(t):
 
 class TestVoltageControl:
     def test_apply_and_read_operating_point(self, chip, slim):
-        slim.apply_operating_point(TABLE3_OPERATING_POINTS[2])
-        point = slim.operating_point()
+        chip.apply_operating_point(TABLE3_OPERATING_POINTS[2])
+        point = chip.operating_point()
         assert point.pmd_mv == 920
         assert point.soc_mv == 920
 
