@@ -76,6 +76,13 @@ def measure_engine() -> Dict[str, float]:
     scalar_s = _timed(expose(False))
     campaign_s = _timed(lambda: Campaign(seed=2023, time_scale=0.02).run())
 
+    from benchmarks.test_bench_engine import fly_session1_s, session_speedups
+
+    session_ahead_s = statistics.median(
+        fly_session1_s(True) for _ in range(3)
+    )
+    session_speedup = statistics.median(session_speedups(REPEATS))
+
     from benchmarks.test_bench_pool import BATCHES, fly_cold, fly_warm
     from benchmarks.test_bench_scheduler import UNITS, _encode, _plan
     from repro.resilient import SupervisedExecutor
@@ -101,6 +108,8 @@ def measure_engine() -> Dict[str, float]:
         "injector_scalar_s": scalar_s,
         "injector_speedup_x": scalar_s / vectorized_s,
         "campaign_scale_0.02_s": campaign_s,
+        "session1_lookahead_s": session_ahead_s,
+        "session1_lookahead_speedup_x": session_speedup,
         "pool_warm_batches_s": warm_s,
         "pool_cold_batches_s": cold_s,
         "pool_reuse_speedup_x": cold_s / warm_s,

@@ -1,10 +1,13 @@
 """Bench: the execution engine's throughput claims.
 
-Two claims ride on the ``repro.engine`` layer:
+Three claims ride on the physics loop and the ``repro.engine`` layer:
 
 * the vectorized injector hot path is >= 3x faster than the scalar
   reference path -- asserted on the median of alternating rounds, so
   one preempted exposure, or always running first, cannot decide it;
+* a full-length session 1 flies >= 1.5x faster with the session
+  look-ahead (quiet runs flown from one array draw) than forced through
+  per-run draws -- the same alternating-rounds median;
 * parallel campaign execution is recorded serial-vs-parallel in
   events/sec but NOT asserted to win: CI boxes (and this sandbox) may
   expose a single core, where process-pool overhead necessarily loses.
@@ -18,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro import Campaign, ParallelExecutor, SerialExecutor
+from repro.harness.session import TABLE2_SESSION_PLANS, BeamSession
 from repro.injection.injector import BeamInjector
+from repro.rng import RngStreams
 from repro.soc.xgene2 import XGene2
 
 #: Beam-time per injector exposure measurement (simulated hours).
@@ -26,6 +31,10 @@ EXPOSURE_HOURS = 20.0
 
 #: Injector timing rounds, one speedup each; the median is asserted.
 ROUNDS = 11
+
+#: Session-throughput timing rounds, one speedup each; the median is
+#: asserted.
+SESSION_ROUNDS = 5
 
 #: Campaign scale for the executor comparison.
 CAMPAIGN_SCALE = 0.05
@@ -74,6 +83,49 @@ def test_bench_vectorized_injector(benchmark):
     # Both paths sample the same distributions.
     assert vec_events == pytest.approx(sca_events, rel=0.15)
     assert speedup >= 3.0
+
+
+def _per_run(rng, means, index):
+    return 0
+
+
+def fly_session1_s(lookahead: bool) -> float:
+    """Wall seconds to fly a full-length session 1 (~30k runs).
+
+    Without *lookahead* the session's look-ahead finds no quiet run, so
+    every run draws its own counts: the per-run path it replaced.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if not lookahead:
+            patch.setattr(BeamSession, "_quiet_runs", staticmethod(_per_run))
+        session = BeamSession(TABLE2_SESSION_PLANS[0], RngStreams(2023))
+        started = time.perf_counter()
+        session.run()
+        return time.perf_counter() - started
+
+
+def session_speedups(rounds: int) -> list:
+    """Per-run over look-ahead wall time, one ratio per round."""
+    speedups = []
+    for round_index in range(rounds):
+        if round_index % 2:
+            per_run_s = fly_session1_s(False)
+            ahead_s = fly_session1_s(True)
+        else:
+            ahead_s = fly_session1_s(True)
+            per_run_s = fly_session1_s(False)
+        speedups.append(per_run_s / ahead_s)
+    return speedups
+
+
+def test_bench_session_lookahead():
+    speedups = session_speedups(SESSION_ROUNDS)
+    speedup = statistics.median(speedups)
+    print(
+        f"\nsession1 look-ahead vs per-run: {min(speedups):.2f}x to "
+        f"{max(speedups):.2f}x per round, median {speedup:.2f}x"
+    )
+    assert speedup >= 1.5
 
 
 def test_bench_campaign_executors(benchmark):

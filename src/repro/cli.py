@@ -751,7 +751,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         validate=args.validate,
         store_chaos=args.store_chaos,
     )
-    service = CampaignService(config, telemetry=Telemetry())
+    service = CampaignService(config)
     where = (
         f", http on 127.0.0.1:{args.http}" if args.http is not None else ""
     )

@@ -38,8 +38,10 @@ scheduling, the physics does not.
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -114,6 +116,23 @@ def warm_process(spec: WarmupSpec) -> None:
 _WORKER_STATE: Dict[str, Any] = {"warmed": False, "chunks": 0}
 
 
+#: How often a worker checks that the process owning its pool lives (s).
+_OWNER_POLL_S = 0.2
+
+
+def _exit_when_orphaned(owner: int) -> None:
+    """End this worker once *owner* is gone.
+
+    An owner killed outright (SIGKILL) never shuts its pool down, and
+    its workers would block on the dead owner's call queue for good.
+    The kernel re-parents an orphan, so a changed parent pid is the
+    owner's death.
+    """
+    while os.getppid() == owner:
+        time.sleep(_OWNER_POLL_S)
+    os._exit(1)
+
+
 def _initialize_worker(spec: WarmupSpec) -> None:
     # A forked worker inherits asyncio's wakeup fd, so its signals would
     # land in the owner's self-pipe.  SIGTERM ends the worker alone;
@@ -121,6 +140,12 @@ def _initialize_worker(spec: WarmupSpec) -> None:
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid(),),
+        name="owner-watch",
+        daemon=True,
+    ).start()
     warm_process(spec)
     _WORKER_STATE["warmed"] = True
 

@@ -11,14 +11,12 @@ Reproduces the test flow of Sections 3.5-3.6 and 4.1:
   paper's stopping rules (>= 100 events or >= 1e11 n/cm^2).
 * :mod:`repro.harness.campaign` -- the four-session campaign of
   Table 2.
-* :mod:`repro.harness.logbook` -- structured session timeline logging.
 """
 
 from .vmin import PfailModel, VminCharacterizer, VminResult, PFAIL_MODELS
 from .controller import ControlPC, RunOutcome
 from .session import BeamSession, SessionPlan, SessionResult, TABLE2_SESSION_PLANS
 from .campaign import Campaign, CampaignResult
-from .logbook import Logbook, LogEntry
 from .availability import (
     CheckpointModel,
     UndervoltingVerdict,
@@ -44,8 +42,6 @@ __all__ = [
     "TABLE2_SESSION_PLANS",
     "Campaign",
     "CampaignResult",
-    "Logbook",
-    "LogEntry",
     "CheckpointModel",
     "UndervoltingVerdict",
     "undervolting_verdict",

@@ -1,9 +1,10 @@
 """Structured session timeline logging.
 
-The Control-PC logs every noteworthy occurrence -- run starts and
-completions, failures, resets, power cycles -- with timestamps, so the
-post-analysis can reconstruct the session exactly as the authors did
-from their serial-console captures.
+A timestamped log of run starts and completions, failures, resets and
+power cycles, in the vocabulary of the paper's serial-console captures.
+Nothing in the program writes one.  The module stays only as the
+target ``perfbench/tracer.py`` wraps by name (``Logbook.record``),
+until perfbench reads in-program timers instead.
 """
 
 from __future__ import annotations

@@ -184,17 +184,6 @@ class BeamInjector:
                 for level in self._levels
             }
 
-    def expected_rate_per_min(
-        self,
-        level: CacheLevel,
-        benchmark: Optional[str] = None,
-        flux_per_cm2_s: float = TNF_HALO_FLUX_PER_CM2_S,
-    ) -> float:
-        """Expected detected upsets/minute at one level, current voltages."""
-        return self._rate_per_min(
-            level, self.chip.operating_point(), benchmark, flux_per_cm2_s
-        )
-
     def _rate_per_min(
         self,
         level: CacheLevel,
@@ -228,6 +217,31 @@ class BeamInjector:
                 for level in self._levels
             )
         return rates
+
+    def poisson_means(
+        self,
+        point: OperatingPoint,
+        benchmark: Optional[str],
+        flux_per_cm2_s: float,
+        duration_s: float,
+    ) -> Tuple[float, ...]:
+        """Expected upset events per level over one exposure (flight order).
+
+        The one source of the injector's Poisson means: both
+        realization paths draw their level counts from it, and a
+        session's look-ahead draws its quiet runs from it, so the two
+        cannot differ by an ulp.  Each path keeps its own association.
+        """
+        rates = self._expected_rates(point, benchmark, flux_per_cm2_s)
+        if self.vectorized:
+            minutes = duration_s / 60.0
+            return tuple(rate * minutes for rate in rates)
+        return tuple(rate * duration_s / 60.0 for rate in rates)
+
+    def count_quiet_exposures(self, exposures: int) -> None:
+        """Meter exposures a session flew without drawing: nothing struck."""
+        if self._exposures_counter is not None:
+            self._exposures_counter.inc(exposures)
 
     def _undervolt_fraction(self, level: CacheLevel, pmd_mv: float, soc_mv: float) -> float:
         """Relative undervolt of the domain feeding *level*.
@@ -296,12 +310,13 @@ class BeamInjector:
     ) -> InjectionSummary:
         summary = InjectionSummary(duration_s=duration_s)
         point = self.chip.operating_point()
-        minutes = duration_s / 60.0
         # Every level's count first, then the events: the draw order of
         # one batched Poisson draw over the levels.
         n_events = [
-            rng.poisson(rate * minutes)
-            for rate in self._expected_rates(point, benchmark, flux_per_cm2_s)
+            rng.poisson(mean)
+            for mean in self.poisson_means(
+                point, benchmark, flux_per_cm2_s, duration_s
+            )
         ]
         for level, n in zip(self._levels, n_events):
             if n == 0:
@@ -358,12 +373,13 @@ class BeamInjector:
     ) -> InjectionSummary:
         summary = InjectionSummary(duration_s=duration_s)
         point = self.chip.operating_point()
-        for level, (names, probs) in self._level_arrays.items():
-            rate_per_min = self.expected_rate_per_min(
-                level, benchmark, flux_per_cm2_s
-            )
-            expected = rate_per_min * duration_s / 60.0
-            n_events = int(rng.poisson(expected))
+        means = self.poisson_means(
+            point, benchmark, flux_per_cm2_s, duration_s
+        )
+        for (level, (names, probs)), mean in zip(
+            self._level_arrays.items(), means
+        ):
+            n_events = int(rng.poisson(mean))
             if n_events == 0:
                 continue
             if self._event_counters:

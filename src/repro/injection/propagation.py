@@ -18,7 +18,7 @@ drawn from the Fig. 12/13 probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -85,6 +85,22 @@ class OutcomeModel:
             self._rate_cache[key] = cached
         return cached
 
+    def poisson_means(
+        self,
+        point: OperatingPoint,
+        duration_s: float,
+        flux_per_cm2_s: float = TNF_HALO_FLUX_PER_CM2_S,
+    ) -> Tuple[float, ...]:
+        """Expected failures per category over one segment (flight order).
+
+        The one source of the model's Poisson means: the per-run draws
+        and a session's look-ahead both take them from here.
+        """
+        return tuple(
+            rate * duration_s / 60.0
+            for rate in self.rates_per_min(point, flux_per_cm2_s).values()
+        )
+
     def sample_failures(
         self,
         point: OperatingPoint,
@@ -106,7 +122,8 @@ class OutcomeModel:
         # Every category's count first, then the events: the draw order
         # of one batched Poisson draw over the categories.
         counts = [
-            rng.poisson(rate * duration_s / 60.0) for rate in rates.values()
+            rng.poisson(mean)
+            for mean in self.poisson_means(point, duration_s, flux_per_cm2_s)
         ]
         events: List[FailureEvent] = []
         for kind, count in zip(rates, counts):

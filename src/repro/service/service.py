@@ -49,7 +49,7 @@ from ..io.results_dir import ResultsDirectory
 from ..resilient import EventJournal, SupervisedExecutor, SupervisionPolicy
 from ..scheduler import Broker, CampaignPlan, CampaignSpec, DirectoryStore
 from ..scheduler.planner import plan_campaign
-from ..telemetry import RunManifest, Telemetry
+from ..telemetry import RunManifest, Telemetry, Tracer
 from . import layout
 
 #: How stale a ``status.json`` may be and still count as "a broker is
@@ -94,7 +94,14 @@ class CampaignService:
     ) -> None:
         self.config = config
         self.root = config.root
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        # Metrics on, tracer off: a manifest records the metrics, never
+        # spans, and an enabled tracer would keep one root span per
+        # leased batch for the life of the process.
+        self.telemetry = (
+            telemetry
+            if telemetry is not None
+            else Telemetry(tracer=Tracer(enabled=False))
+        )
         self.broker_id = config.resolved_broker_id()
         layout.ensure_layout(self.root)
         if config.store_chaos:

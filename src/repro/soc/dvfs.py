@@ -22,7 +22,7 @@ from typing import List
 
 from .. import constants
 from ..errors import FrequencyError
-from .domains import DomainName, VoltageDomain
+from .domains import VoltageDomain
 
 
 @dataclass(frozen=True)
@@ -130,18 +130,10 @@ class DvfsController:
 
         The snapshot is rebuilt only when the live clock or a domain
         voltage moved since the last call; a session reads its pinned
-        point twice per benchmark run.
+        point twice per run it flies through per-run draws.
         """
         key = (self._freq_mhz, self._pmd.voltage_mv, self._soc.voltage_mv)
         if key != self._key:
             self._key = key
             self._point = OperatingPoint("current", *key)
         return self._point
-
-    def domain_voltage_mv(self, domain: str) -> int:
-        """Voltage of the named domain ("pmd" / "soc"), in millivolts."""
-        if domain == DomainName.PMD.value:
-            return self._pmd.voltage_mv
-        if domain == DomainName.SOC.value:
-            return self._soc.voltage_mv
-        raise FrequencyError(f"unknown domain {domain!r}")

@@ -140,10 +140,6 @@ class XGene2:
 
     # -- electrical state ------------------------------------------------------------
 
-    def domain_voltage_mv(self, domain: str) -> int:
-        """Present voltage of a named domain ("pmd" / "soc")."""
-        return self.dvfs.domain_voltage_mv(domain)
-
     def apply_operating_point(self, point: OperatingPoint) -> None:
         """Pin the chip to an explicit setting."""
         self.dvfs.apply(point)

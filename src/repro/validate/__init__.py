@@ -4,7 +4,7 @@ differential testing.
 Public surface:
 
 * :mod:`~repro.validate.gates` -- :class:`GateResult`, Poisson /
-  proportion / dispersion gates, and the K-of-N :class:`SeedLadder`;
+  proportion / dispersion gates, and the pooled :class:`SeedLadder`;
 * :mod:`~repro.validate.oracles` -- the golden-value registry loaded
   from ``validate/golden/*.json``;
 * :mod:`~repro.validate.differential` -- paired-configuration
@@ -35,9 +35,7 @@ from .gates import (
     DEFAULT_ALPHA,
     DEFAULT_EPSILON,
     GateResult,
-    LadderResult,
     SeedLadder,
-    SeedTrial,
     interval_coverage_gate,
     poisson_bounds,
     poisson_count_gate,
@@ -70,9 +68,7 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_EPSILON",
     "GateResult",
-    "LadderResult",
     "SeedLadder",
-    "SeedTrial",
     "interval_coverage_gate",
     "poisson_bounds",
     "poisson_count_gate",

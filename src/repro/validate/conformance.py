@@ -474,7 +474,7 @@ def run_statistical(
     from ..experiments.config import shared_campaign
 
     seeds = tuple(seeds) if seeds is not None else STATISTICAL_SEEDS
-    ladder = SeedLadder(seeds, required=max(1, len(seeds) - 1))
+    ladder = SeedLadder(seeds)
     rate_model = LevelRateModel()
     mix_model = OutcomeMixModel()
 

@@ -15,9 +15,9 @@ gates here make the acceptance region explicit instead:
   expected one lies inside its Wilson (or exact Clopper-Pearson)
   confidence interval -- the paper's own 95 % error-bar discipline
   (Section 3.5) turned into an executable check;
-* :class:`SeedLadder` replaces single-seed pinning with "K of N seeds
-  must pass": each rung is an independent trial, the ladder's verdict
-  is a binomial acceptance over the rungs.
+* :class:`SeedLadder` replaces single-seed pinning with a pooled
+  acceptance: each rung is an independent trial, and the ladder's
+  verdict is a binomial acceptance over the events of every rung.
 
 Every gate returns a :class:`GateResult`, the common currency of the
 validate subsystem (the oracle registry and the differential harness
@@ -27,7 +27,7 @@ emit them too), so one report format covers all three suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from scipy import special
@@ -267,95 +267,27 @@ def interval_coverage_gate(
 # -- the seed ladder -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedTrial:
-    """One rung of a ladder: the seed, its verdict, and why."""
-
-    seed: int
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class LadderResult:
-    """Verdict of a K-of-N seed ladder."""
-
-    name: str
-    trials: List[SeedTrial] = field(default_factory=list)
-    required: int = 0
-
-    @property
-    def passes(self) -> int:
-        """Number of rungs that passed."""
-        return sum(1 for t in self.trials if t.ok)
-
-    @property
-    def ok(self) -> bool:
-        """Did at least ``required`` of the rungs pass?"""
-        return self.passes >= self.required
-
-
 class SeedLadder:
-    """K-of-N acceptance over a ladder of RNG seeds.
+    """Pooled acceptance over a ladder of RNG seeds.
 
     A statistical property that holds for ~95 % of seeds fails a
     single pinned seed eventually (or, worse, silently *requires* a
-    lucky pin).  The ladder runs the check at every rung and accepts
-    when at least *required* rungs pass, so the test asserts the
+    lucky pin).  The ladder runs a trial at every rung and pools the
+    rungs' events into one acceptance, so the test asserts the
     distribution of outcomes rather than one draw.
 
     Parameters
     ----------
     seeds:
         The rung seeds (distinct, deterministic; never random).
-    required:
-        Minimum number of passing rungs.  Pick it so the false-failure
-        probability under the expected per-seed pass rate is
-        negligible (e.g. 12 of 15 rungs for a ~95 % property).
     """
 
-    def __init__(self, seeds: Iterable[int], required: int) -> None:
+    def __init__(self, seeds: Iterable[int]) -> None:
         self.seeds = list(seeds)
         if not self.seeds:
             raise ValidationError("seed ladder needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("seed ladder seeds must be distinct")
-        if not 1 <= required <= len(self.seeds):
-            raise ValidationError(
-                f"required rung count {required} must be in "
-                f"[1, {len(self.seeds)}]"
-            )
-        self.required = required
-
-    def run(
-        self,
-        name: str,
-        check: Callable[[int], object],
-    ) -> LadderResult:
-        """Run *check* at every rung.
-
-        *check* receives a seed and returns either a bool or a
-        ``(bool, detail)`` pair; exceptions are failures (with the
-        exception text as detail), so a crash at one rung cannot pass a
-        ladder.
-        """
-        result = LadderResult(name=name, required=self.required)
-        for seed in self.seeds:
-            try:
-                verdict = check(seed)
-            except Exception as exc:  # a crashed rung is a failed rung
-                result.trials.append(
-                    SeedTrial(seed=seed, ok=False, detail=f"raised {exc!r}")
-                )
-                continue
-            if isinstance(verdict, tuple):
-                ok, detail = verdict
-            else:
-                ok, detail = bool(verdict), ""
-            result.trials.append(
-                SeedTrial(seed=seed, ok=bool(ok), detail=detail)
-            )
-        return result
 
     def run_counting(
         self,
@@ -370,7 +302,8 @@ class SeedLadder:
         right shape when each seed contributes several sub-checks (e.g.
         four per-session CI coverages per campaign) -- pooling keeps
         the acceptance statistical instead of per-seed brittle.  A
-        crashed rung contributes its events as misses.
+        crashed rung contributes no events: its hits are missing from
+        the pool, and a ladder whose rungs all crash fails.
         """
         hits = 0
         total = 0

@@ -45,8 +45,7 @@ def signal_when(proc, ready, sig=signal.SIGTERM, group=False):
     holds within the bound): the caller's exit-code assertion then
     fails, so a sweep that ends before the signal can never pass.
     With *group*, the signal goes to the process and every pool worker
-    it forked, as when a host dies: a SIGKILLed verb's orphaned workers
-    would otherwise hold its output pipes open.
+    it forked at once, as when a host dies.
     """
     deadline = time.monotonic() + TIMEOUT_S
     while proc.poll() is None and time.monotonic() < deadline:

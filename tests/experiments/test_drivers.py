@@ -104,21 +104,20 @@ class TestFig6Fig7Drivers:
         # in the calibration tests.
         from repro.validate import SeedLadder
 
-        def check(seed):
+        def trial(seed):
             fig6_l2 = run_experiment(
                 "fig6", seed=seed, time_scale=SCALE
             ).series["rates"][("L2 Cache", "CE")][-1]
             fig7_l2 = run_experiment(
                 "fig7", seed=seed, time_scale=SCALE
             ).series["rates"][("L2 Cache", "CE")]
-            return (
-                fig7_l2 > 0.6 * fig6_l2,
-                f"fig7 L2 {fig7_l2:.3f}/min vs fig6 L2 {fig6_l2:.3f}/min",
-            )
+            return int(fig7_l2 > 0.6 * fig6_l2), 1
 
-        ladder = SeedLadder((SEED, 211, 212, 213, 214), required=4)
-        result = ladder.run("drivers/fig7_vs_fig6_l2", check)
-        assert result.ok, [t.detail for t in result.trials if not t.ok]
+        ladder = SeedLadder((SEED, 211, 212, 213, 214))
+        gate = ladder.run_counting(
+            "drivers/fig7_vs_fig6_l2", trial, required_hits=4
+        )
+        assert gate.ok, gate.render()
 
 
 class TestFig8Driver:

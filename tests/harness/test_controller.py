@@ -18,18 +18,31 @@ def make_controller(chip=None, **kwargs):
 
 
 class TestRunBenchmark:
-    def test_single_run_logged(self):
+    def test_single_run_outcome_placed(self):
         chip, controller = make_controller()
         rng = np.random.default_rng(0)
-        outcome = controller.run_benchmark("CG", 3.0, 0.0, rng)
+        outcome = controller.run_benchmark("CG", 3.0, 10.0, rng)
         assert outcome.benchmark == "CG"
-        assert controller.logbook.count("run") == 1
+        assert (outcome.start_s, outcome.duration_s) == (10.0, 3.0)
+        assert outcome.upsets.duration_s == 3.0
 
-    def test_ok_logged_when_no_failure(self):
+    def test_clean_run_has_no_verdict(self):
         chip, controller = make_controller()
         rng = np.random.default_rng(0)
-        controller.run_benchmark("CG", 0.5, 0.0, rng)
-        assert controller.logbook.count("ok") == 1
+        outcome = controller.run_benchmark("CG", 0.5, 0.0, rng)
+        assert outcome.failures == []
+        assert outcome.verdict is None
+
+    def test_quiet_run_draws_and_polls_nothing(self):
+        chip, controller = make_controller()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        outcome = controller.run_benchmark("MG", 3.4, 6.0, rng, quiet=True)
+        assert rng.bit_generator.state == state
+        assert (outcome.benchmark, outcome.start_s) == ("MG", 6.0)
+        assert outcome.failures == [] and outcome.upsets.counts == {}
+        assert outcome.upsets.duration_s == 3.4
+        assert len(controller.session_edac) == 0
 
     def test_session_edac_survives_power_cycle(self):
         chip, controller = make_controller()
@@ -48,6 +61,8 @@ class TestRunBenchmark:
     def test_syscrash_power_cycles_chip(self):
         chip, controller = make_controller()
         chip.apply_operating_point(TABLE3_OPERATING_POINTS[0])
+        # A pending flip only a power cycle clears.
+        chip.array("soc.l3").inject_bit_flip(0, 0)
         rng = np.random.default_rng(2)
         # Run until a SysCrash happens.
         clock = 0.0
@@ -59,8 +74,9 @@ class TestRunBenchmark:
                 crashed = True
                 break
         assert crashed
-        assert controller.logbook.count("powercycle") >= 1
+        assert list(chip.array("soc.l3").scrub()) == []  # SRAM cleared
         assert len(chip.edac) == 0  # chip-side log wiped
+        assert chip.slimpro.poll_health() == []
 
 
 class TestVerdict:

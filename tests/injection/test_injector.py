@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.constants import TNF_HALO_FLUX_PER_CM2_S
 from repro.errors import InjectionError
 from repro.injection.injector import BeamInjector, InjectionSummary
 from repro.soc.dvfs import TABLE3_OPERATING_POINTS
@@ -16,23 +17,32 @@ def injector(chip):
     return BeamInjector(chip)
 
 
+def per_minute(injector, benchmark=None):
+    """Expected events per level over one minute at the chip's point."""
+    means = injector.poisson_means(
+        injector.chip.operating_point(),
+        benchmark,
+        TNF_HALO_FLUX_PER_CM2_S,
+        60.0,
+    )
+    return dict(zip(CacheLevel, means))
+
+
 class TestExpectedRates:
     def test_total_rate_at_nominal(self, injector):
-        total = sum(
-            injector.expected_rate_per_min(level) for level in CacheLevel
-        )
+        total = sum(per_minute(injector).values())
         assert total == pytest.approx(1.01, abs=0.02)
 
     def test_benchmark_share_modulates_rate(self, injector):
-        base = injector.expected_rate_per_min(CacheLevel.L3)
-        cg = injector.expected_rate_per_min(CacheLevel.L3, benchmark="CG")
-        ft = injector.expected_rate_per_min(CacheLevel.L3, benchmark="FT")
+        base = per_minute(injector)[CacheLevel.L3]
+        cg = per_minute(injector, benchmark="CG")[CacheLevel.L3]
+        ft = per_minute(injector, benchmark="FT")[CacheLevel.L3]
         assert cg < base < ft  # Fig. 5: CG below average, FT above
 
     def test_rate_rises_at_vmin(self, chip, injector):
-        nominal = injector.expected_rate_per_min(CacheLevel.L2)
+        nominal = per_minute(injector)[CacheLevel.L2]
         chip.apply_operating_point(TABLE3_OPERATING_POINTS[2])
-        assert injector.expected_rate_per_min(CacheLevel.L2) > nominal
+        assert per_minute(injector)[CacheLevel.L2] > nominal
 
 
 class TestExposure:

@@ -107,7 +107,7 @@ class TestModelConsistency:
                 total += 1
             return hits, total
 
-        ladder = SeedLadder((101, 102, 103, 104, 105), required=4)
+        ladder = SeedLadder((101, 102, 103, 104, 105))
         gate = ladder.run_counting(
             "cross_checks/rate_bracket", trial, required_hits=18
         )

@@ -10,6 +10,7 @@ TIME_SCALE = 0.02
 
 
 def make_service(root, **overrides) -> CampaignService:
+    telemetry = overrides.pop("telemetry", None)
     config = ServiceConfig(
         root=str(root),
         workers=overrides.pop("workers", 1),
@@ -19,7 +20,7 @@ def make_service(root, **overrides) -> CampaignService:
         broker_id=overrides.pop("broker_id", "broker-test"),
         **overrides,
     )
-    return CampaignService(config)
+    return CampaignService(config, telemetry=telemetry)
 
 
 @pytest.fixture

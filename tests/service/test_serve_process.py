@@ -191,6 +191,43 @@ class TestWorkerSignal:
         assert _assembled(root, DRAIN_SEED) == plain_runs[DRAIN_SEED]
 
 
+def _running(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            state = handle.read().rsplit(b")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != b"Z"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads pool workers off /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_only_the_broker_is_killed(self, tmp_path):
+        root = str(tmp_path / "root")
+        _submit(root, BASELINE_SEED)
+        proc = cli_process.spawn(_serve_argv(root, "broker-o"))
+        try:
+            _wait_for(lambda: len(_pool_workers(proc.pid)) == 2)
+            workers = _pool_workers(proc.pid)
+            proc.kill()  # the broker alone: its workers stay in the group
+            proc.wait()
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"pool workers {workers} outlived their broker"
+                )
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+
+
 class TestStoreChaosStorm:
     CHAOS = (
         '{"torn_write": [0], "transient_errno": [1], '

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.errors import SchedulerBusy
 from repro.scheduler import CampaignSpec
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.service import (
     STATUS_STALE_S,
     accepted_dir,
@@ -360,3 +361,50 @@ class TestChaosServe:
         assert store["quarantined"] == 2
         assert store["retries"] >= 1
         assert store["fenced"] == 0
+
+
+class TestLongLivedService:
+    """What a service keeps does not grow with the jobs it serves."""
+
+    JOBS = 20
+
+    def serve_jobs(self, root, telemetry=None):
+        """Serve JOBS tiny jobs; the service and each manifest's metrics."""
+        specs = [
+            CampaignSpec(seed=seed, time_scale=0.001)
+            for seed in range(self.JOBS)
+        ]
+        service = make_service(
+            root,
+            capacity=4 * self.JOBS,
+            idle_exit_s=0.1,
+            telemetry=telemetry,
+        )
+        for spec in specs:
+            drop_job(root, spec)
+        try:
+            assert service.serve() == 0
+        finally:
+            service.journal.close()
+        metrics = {}
+        for spec in specs:
+            path = os.path.join(
+                results_dir(root, spec.submission_id), "manifest.json"
+            )
+            with open(path) as handle:
+                snapshot = json.load(handle)["metrics"]
+            counters = MetricsRegistry.from_dict(snapshot).counter_values()
+            metrics[spec.submission_id] = (counters, snapshot["gauges"])
+        return service, metrics
+
+    def test_served_jobs_retain_no_spans(self, tmp_path):
+        service, metrics = self.serve_jobs(str(tmp_path / "served"))
+        assert service.telemetry.tracer.roots == []
+        # A tracer left on keeps one root span per leased batch, and
+        # turning it off changes no metric a manifest records.
+        traced, traced_metrics = self.serve_jobs(
+            str(tmp_path / "traced"), telemetry=Telemetry()
+        )
+        assert len(traced.telemetry.tracer.roots) >= self.JOBS
+        assert metrics == traced_metrics
+        assert all(counts["session.flown"] for counts, _ in metrics.values())

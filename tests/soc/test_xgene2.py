@@ -50,8 +50,8 @@ class TestElectricalState:
 
     def test_domain_voltage_lookup(self, chip):
         chip.apply_operating_point(TABLE3_OPERATING_POINTS[3])
-        assert chip.domain_voltage_mv("pmd") == 790
-        assert chip.domain_voltage_mv("soc") == 950
+        point = chip.operating_point()
+        assert (point.pmd_mv, point.soc_mv) == (790, 950)
 
 
 class TestPowerCycle:

@@ -207,40 +207,41 @@ class TestGateResult:
 class TestSeedLadder:
     def test_construction_validates(self):
         with pytest.raises(ValidationError):
-            SeedLadder([], required=1)
+            SeedLadder([])
         with pytest.raises(ValidationError):
-            SeedLadder([1, 1], required=1)
-        with pytest.raises(ValidationError):
-            SeedLadder([1, 2], required=3)
+            SeedLadder([1, 1])
 
     def test_k_of_n_acceptance(self):
-        ladder = SeedLadder([1, 2, 3, 4, 5], required=3)
-        result = ladder.run("g", lambda seed: seed % 2 == 1)
-        assert result.passes == 3
-        assert result.ok
-        assert ladder.run("g", lambda seed: seed == 1).ok is False
+        ladder = SeedLadder([1, 2, 3, 4, 5])
+
+        def trial(seed):
+            return int(seed % 2 == 1), 1
+
+        assert ladder.run_counting("g", trial, required_hits=3).ok
+        assert not ladder.run_counting("g", trial, required_hits=4).ok
 
     def test_tuple_verdicts_carry_detail(self):
-        ladder = SeedLadder([7], required=1)
-        result = ladder.run("g", lambda seed: (False, "too low"))
-        assert not result.ok
-        assert result.trials[0].detail == "too low"
+        ladder = SeedLadder([7, 8])
+        gate = ladder.run_counting(
+            "g", lambda seed: (3, 4) if seed == 7 else (4, 4), required_hits=7
+        )
+        assert gate.ok
+        assert gate.measured == "7/8 hits"
+        assert "seed 7: 3/4" in gate.detail
+        assert "seed 8" not in gate.detail
 
     def test_crashed_rung_is_a_failed_rung(self):
-        ladder = SeedLadder([1, 2], required=2)
+        ladder = SeedLadder([1, 2])
 
-        def check(seed):
-            if seed == 2:
-                raise RuntimeError("boom")
-            return True
+        def trial(seed):
+            raise RuntimeError(f"boom {seed}")
 
-        result = ladder.run("g", check)
-        assert not result.ok
-        assert [t.ok for t in result.trials] == [True, False]
-        assert "boom" in result.trials[1].detail
+        gate = ladder.run_counting("g", trial, required_hits=0)
+        assert not gate.ok  # no rung contributed an event
+        assert "boom 1" in gate.detail and "boom 2" in gate.detail
 
     def test_run_counting_pools_events(self):
-        ladder = SeedLadder([1, 2, 3], required=1)
+        ladder = SeedLadder([1, 2, 3])
         gate = ladder.run_counting(
             "g", lambda seed: (3, 4), required_hits=9
         )
@@ -251,7 +252,7 @@ class TestSeedLadder:
         ).ok
 
     def test_run_counting_crashed_rung_contributes_nothing(self):
-        ladder = SeedLadder([1, 2], required=1)
+        ladder = SeedLadder([1, 2])
 
         def trial(seed):
             if seed == 2:
