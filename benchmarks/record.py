@@ -30,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Callable, Dict
 
@@ -76,6 +77,15 @@ def measure_engine() -> Dict[str, float]:
     scalar_s = _timed(expose(False))
     campaign_s = _timed(lambda: Campaign(seed=2023, time_scale=0.02).run())
 
+    from repro.io.json_store import load_campaign, save_campaign
+
+    # Decoding a full-length campaign.json: what analyze, export and
+    # report pay before any analysis runs.
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "campaign.json")
+        save_campaign(Campaign(seed=2023, time_scale=1.0).run(), path)
+        load_full_s = _timed(lambda: load_campaign(path))
+
     from benchmarks.test_bench_engine import fly_session1_s, session_speedups
 
     session_ahead_s = statistics.median(
@@ -108,6 +118,7 @@ def measure_engine() -> Dict[str, float]:
         "injector_scalar_s": scalar_s,
         "injector_speedup_x": scalar_s / vectorized_s,
         "campaign_scale_0.02_s": campaign_s,
+        "load_campaign_full_s": load_full_s,
         "session1_lookahead_s": session_ahead_s,
         "session1_lookahead_speedup_x": session_speedup,
         "pool_warm_batches_s": warm_s,
@@ -273,10 +284,18 @@ SUITES: Dict[str, Callable[[], Dict[str, float]]] = {
 
 
 def _git_revision() -> str:
+    """The checkout's short revision, ``-dirty`` when the tree has edits.
+
+    A record taken on an uncommitted change must not carry the bare
+    revision of the commit it started from.
+    """
     try:
         return (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                [
+                    "git", "describe", "--always", "--dirty",
+                    "--abbrev=7", "--exclude=*",
+                ],
                 cwd=REPO_ROOT,
                 capture_output=True,
                 text=True,

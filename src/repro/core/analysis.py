@@ -74,11 +74,15 @@ class CampaignAnalysis:
     def benchmark_upset_rates(self, label: str) -> Dict[str, RateEstimate]:
         """Per-benchmark upset rates within one session (Fig. 5 view)."""
         s = self.campaign.session(label)
+        struck = {index: counts for index, counts, _ in s.busy_runs}
         per_bench: Dict[str, List[float]] = {}
-        for run in s.runs:
-            per_bench.setdefault(run.benchmark, [0.0, 0.0])
-            per_bench[run.benchmark][0] += run.upsets.total_upsets
-            per_bench[run.benchmark][1] += run.duration_s / 60.0
+        for index, (benchmark, _, duration_s) in enumerate(
+            s.flown_schedule()
+        ):
+            totals = per_bench.setdefault(benchmark, [0.0, 0.0])
+            if index in struck:
+                totals[0] += sum(struck[index].values())
+            totals[1] += duration_s / 60.0
         out = {}
         for bench, (events, minutes) in sorted(per_bench.items()):
             if minutes > 0:

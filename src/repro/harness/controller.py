@@ -30,19 +30,15 @@ class RunOutcome:
 
     Attributes
     ----------
-    benchmark:
-        Benchmark executed.
-    start_s / duration_s:
-        Wall-clock placement of the run within the session.
     failures:
         Software-level failure events raised during the run.
     upsets:
         SRAM upset summary for the run's exposure.
+
+    Its benchmark and placement are its session's
+    :func:`~repro.harness.session.run_schedule` entry.
     """
 
-    benchmark: str
-    start_s: float
-    duration_s: float
     failures: List[FailureEvent]
     upsets: InjectionSummary
 
@@ -95,21 +91,16 @@ class ControlPC:
         rng: np.random.Generator,
         flux_per_cm2_s: float = TNF_HALO_FLUX_PER_CM2_S,
         quiet: bool = False,
-    ) -> RunOutcome:
+    ) -> Optional[RunOutcome]:
         """Execute one benchmark run under beam and classify its outcome.
 
         A *quiet* run is one whose Poisson counts the session already
         drew as all zero: it strikes nothing and fails nothing, so it
-        draws nothing here and leaves the EDAC log unpolled.
+        draws nothing here, leaves the EDAC log unpolled and returns
+        None.
         """
         if quiet:
-            return RunOutcome(
-                benchmark=benchmark,
-                start_s=start_s,
-                duration_s=duration_s,
-                failures=[],
-                upsets=InjectionSummary(duration_s=duration_s),
-            )
+            return None
         point = self.chip.operating_point()
         upsets = self.injector.expose(
             duration_s,
@@ -134,10 +125,4 @@ class ControlPC:
             if failure.kind is OutcomeKind.SYS_CRASH:
                 # The board stays unreachable: power-cycle it.
                 self.chip.power_cycle()
-        return RunOutcome(
-            benchmark=benchmark,
-            start_s=start_s,
-            duration_s=duration_s,
-            failures=failures,
-            upsets=upsets,
-        )
+        return RunOutcome(failures=failures, upsets=upsets)

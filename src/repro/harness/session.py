@@ -30,8 +30,9 @@ from ..injection.injector import BeamInjector, InjectionSummary
 from ..injection.propagation import OutcomeModel
 from ..rng import RngStreams
 from ..soc.dvfs import OperatingPoint, TABLE3_OPERATING_POINTS
+from ..soc.geometry import CacheLevel
 from ..telemetry import MetricsRegistry
-from ..soc.edac import EdacLog
+from ..soc.edac import EdacLog, EdacSeverity
 from ..soc.xgene2 import XGene2
 from ..units import bits_to_mbit
 from ..workloads.profiles import PROFILES
@@ -81,6 +82,49 @@ class SessionPlan:
             raise SessionError("session needs at least one benchmark")
 
 
+#: One run of a session that struck or failed something: its index in
+#: :func:`run_schedule`, its upset histogram (keys in flown order) and
+#: its failure count.
+BusyRun = Tuple[int, Dict[Tuple[CacheLevel, EdacSeverity], int], int]
+
+
+def run_schedule(plan: SessionPlan) -> List[Tuple[str, float, float]]:
+    """Every run the plan's beam time allows, in flight order.
+
+    A run is ``(benchmark, start_s, duration_s)``.  Benchmarks cycle in
+    plan order, each for its profile runtime, and the last run is
+    truncated at ``max_minutes``; stopping rules cut a flight short, so
+    the runs a session flies are a prefix of this list.  ``np.cumsum``
+    adds in order, so every ``start_s`` is the float a running clock
+    reaches.  :class:`BeamSession` flies this list, and
+    :func:`repro.io.json_store.render_session` renders the runs of
+    ``campaign.json`` from it.
+    """
+    names = plan.benchmarks
+    runtimes = [PROFILES[name].runtime_s for name in names]
+    max_s = plan.max_minutes * 60.0
+    # Runs that end before max_s fly at full length.
+    bound = int(max_s / min(runtimes)) + 2
+    ends = np.cumsum(np.resize(runtimes, bound))
+    full = int(np.searchsorted(ends, max_s))
+    starts = [0.0, *ends[:full].tolist()]
+    durations = np.resize(runtimes, full).tolist()
+    # The rest, run by run, until the clock reaches max_s.
+    clock_s = starts.pop()
+    while clock_s < max_s:
+        duration_s = min(
+            runtimes[len(durations) % len(names)], max_s - clock_s
+        )
+        if duration_s <= 0:
+            break
+        starts.append(clock_s)
+        durations.append(duration_s)
+        clock_s += duration_s
+    count = len(durations)
+    benchmarks = (names * (count // len(names) + 1))[:count]
+    return list(zip(benchmarks, starts, durations))
+
+
 #: The four campaign sessions of Table 2 (durations as flown).
 TABLE2_SESSION_PLANS: List[SessionPlan] = [
     SessionPlan("session1", TABLE3_OPERATING_POINTS[0], max_minutes=1651.0),
@@ -111,8 +155,15 @@ class SessionResult:
         All software failures, time-sorted.
     edac:
         The Control-PC's cumulative EDAC archive.
-    runs:
-        Per-run outcomes, in execution order.
+    runs_flown:
+        Runs flown: the first ``runs_flown`` entries of
+        :func:`run_schedule`, which give each run's benchmark,
+        ``start_s`` and ``duration_s``.
+    busy_runs:
+        ``(run index, counts, failure count)`` of every run whose upset
+        histogram is non-empty or that failed, in flight order; each
+        run's *counts* dict keeps its flown key order.  Every other run
+        struck nothing and failed nothing.
     """
 
     plan: SessionPlan
@@ -120,7 +171,8 @@ class SessionResult:
     upsets: InjectionSummary
     failures: List[FailureEvent]
     edac: EdacLog
-    runs: List[RunOutcome] = field(default_factory=list)
+    runs_flown: int = 0
+    busy_runs: List[BusyRun] = field(default_factory=list)
 
     # -- Table 2 metrics ----------------------------------------------------------
 
@@ -152,6 +204,10 @@ class SessionResult:
         if self.duration_minutes <= 0:
             return 0.0
         return self.upset_count / self.duration_minutes
+
+    def flown_schedule(self) -> List[Tuple[str, float, float]]:
+        """``(benchmark, start_s, duration_s)`` of every run flown."""
+        return run_schedule(self.plan)[: self.runs_flown]
 
     def failures_of_kind(self, kind: OutcomeKind) -> List[FailureEvent]:
         """Failures of one category."""
@@ -231,7 +287,8 @@ class BeamSession:
         without drawing again (:meth:`_quiet_runs`); the rest fly the
         Control-PC's per-run draws.  Every run still passes through
         :meth:`ControlPC.run_benchmark` once, which perfbench counts
-        against the runs in ``campaign.json``.
+        against the runs in ``campaign.json``.  Only a run that struck
+        or failed something leaves a :data:`BusyRun` in the result.
         """
         plan = self.plan
         self.chip.apply_operating_point(plan.point)
@@ -240,12 +297,13 @@ class BeamSession:
         fluence = FluenceAccount()
         upsets = InjectionSummary()
         failures: List[FailureEvent] = []
-        runs: List[RunOutcome] = []
+        busy_runs: List[BusyRun] = []
         flux = plan.flux_per_cm2_s
         target_failures = plan.target_failures
         target_fluence = plan.target_fluence
         run_benchmark = self.controller.run_benchmark
         busy_flown = 0
+        index = -1
         quiet_end = look_at = 0
 
         for index, (benchmark, start_s, duration_s) in enumerate(schedule):
@@ -254,23 +312,24 @@ class BeamSession:
                 quiet_end = index + stretch
                 # A block that ends busy flies that run per run first.
                 look_at = quiet_end + (stretch < LOOKAHEAD_RUNS)
-            quiet = index < quiet_end
             outcome = run_benchmark(
                 benchmark,
                 duration_s,
                 start_s,
                 rng,
                 flux_per_cm2_s=flux,
-                quiet=quiet,
+                quiet=index < quiet_end,
             )
             fluence.expose(flux, duration_s)
-            runs.append(outcome)
-            if quiet:
+            if outcome is None:
                 upsets.duration_s += duration_s
             else:
                 busy_flown += 1
+                counts = outcome.upsets.counts
                 upsets.merge(outcome.upsets)
                 failures.extend(outcome.failures)
+                if counts or outcome.failures:
+                    busy_runs.append((index, counts, len(outcome.failures)))
                 if self.metrics is not None:
                     self._count_run(outcome)
 
@@ -286,8 +345,9 @@ class BeamSession:
                 break
 
         failures.sort(key=lambda f: f.time_s)
+        runs_flown = index + 1
         if self.metrics is not None:
-            quiet_flown = len(runs) - busy_flown
+            quiet_flown = runs_flown - busy_flown
             if quiet_flown:
                 self.metrics.counter("session.runs", kind="ok").inc(
                     quiet_flown
@@ -300,56 +360,36 @@ class BeamSession:
             upsets=upsets,
             failures=failures,
             edac=self.controller.session_edac,
-            runs=runs,
+            runs_flown=runs_flown,
+            busy_runs=busy_runs,
         )
 
     def _plan_runs(self) -> Tuple[List[Tuple[str, float, float]], np.ndarray]:
-        """Every run the beam time allows, and each run's Poisson means.
-
-        A run is ``(benchmark, start_s, duration_s)``.  Benchmarks cycle
-        in plan order, each for its profile runtime, and the last run is
-        truncated at ``max_minutes``; stopping rules cut the list short.
-        ``np.cumsum`` adds in order, so every ``start_s`` is the float a
-        running clock reaches.
+        """The plan's :func:`run_schedule` and each run's Poisson means.
 
         A means row holds the injector's level means, then the outcome
         model's category means: the order in which a per-run flight
-        draws them, taken from the methods those draws call.
+        draws them, taken from the methods those draws call.  A
+        full-length run takes its benchmark's row; only the truncated
+        runs at the end of the schedule need rows of their own.
         """
         plan = self.plan
+        schedule = run_schedule(plan)
         names = plan.benchmarks
         runtimes = [PROFILES[name].runtime_s for name in names]
-        max_s = plan.max_minutes * 60.0
-        # Runs that end before max_s fly at full length.
-        bound = int(max_s / min(runtimes)) + 2
-        ends = np.cumsum(np.resize(runtimes, bound))
-        full = int(np.searchsorted(ends, max_s))
-        starts = [0.0, *ends[:full].tolist()]
-        durations = np.resize(runtimes, full).tolist()
-        # The rest, run by run, until the clock reaches max_s.
-        clock_s = starts.pop()
-        while clock_s < max_s:
-            duration_s = min(
-                runtimes[len(durations) % len(names)], max_s - clock_s
-            )
-            if duration_s <= 0:
-                break
-            starts.append(clock_s)
-            durations.append(duration_s)
-            clock_s += duration_s
-        count = len(durations)
-        benchmarks = (names * (count // len(names) + 1))[:count]
-
         point = self.chip.operating_point()
         cycle = np.array(
             [self._means_row(point, *run) for run in zip(names, runtimes)]
         )
-        means = cycle[np.arange(count) % len(names)]
-        for index in range(full, count):
-            means[index] = self._means_row(
-                point, benchmarks[index], durations[index]
-            )
-        return list(zip(benchmarks, starts, durations)), means
+        means = cycle[np.arange(len(schedule)) % len(names)]
+        index = len(schedule) - 1
+        while index >= 0:
+            benchmark, _, duration_s = schedule[index]
+            if duration_s == runtimes[index % len(names)]:
+                break
+            means[index] = self._means_row(point, benchmark, duration_s)
+            index -= 1
+        return schedule, means
 
     def _means_row(
         self, point: OperatingPoint, benchmark: str, duration_s: float

@@ -125,7 +125,7 @@ class ResultsDirectory:
         """Write each session's ``edac_dmesg`` as ``<label>.dmesg``.
 
         *campaign_dict* is what ``campaign.json`` holds, so both come
-        from the same payload bytes.  Returns ``{label: path}``.
+        from the same rendered dict.  Returns ``{label: path}``.
         """
         self._ensure_root()
         return {

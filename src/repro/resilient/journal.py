@@ -4,10 +4,10 @@ One line per record, written in completion (== submission) order:
 
 .. code-block:: text
 
-    {"kind": "header", "schema": 1, "config_hash": "...", "seed": ...,
+    {"kind": "header", "schema": 2, "config_hash": "...", "seed": ...,
      "time_scale": ..., "units": ["session1", ...]}
     {"kind": "unit", "key": "session1", "attempts": 1, "sram_bits": ...,
-     "metrics": {...} | null, "session": {...}}
+     "metrics": {...} | null, "session": {"version": 2, ...}}
 
 The first four design rules below belong to :class:`AppendLog`, the
 one append-only JSONL file under both this checkpoint journal and the
@@ -31,10 +31,14 @@ broker's :class:`EventJournal`.  In decreasing order of importance:
   config hash; resuming under a different seed/time-scale/plan set
   raises instead of silently merging incompatible results.
 
-The payload of a unit line is the *encoded* session dict (the exact
-object that later lands in ``campaign.json``), so a resumed run can
-reproduce the uninterrupted run's ``campaign.json`` byte-for-byte
-without a decode/re-encode round trip through floating point.
+The payload of a unit line is the session's compact record
+(:func:`repro.io.json_store.session_to_dict`): session-level data, the
+number of runs flown and the runs that struck or failed something.  A
+resumed run renders ``campaign.json`` from the journaled records with
+the same renderer as an uninterrupted run, and JSON gives every float
+back exactly, so the bytes match without a decode/re-encode round trip
+through the session model.  Schema 1 journals carried every run and are
+refused.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproIOError, SupervisionError
 
-JOURNAL_SCHEMA = 1
+JOURNAL_SCHEMA = 2
 
 #: Fsync policies: "unit" fsyncs after every appended line (crash-safe
 #: to power loss), "never" only flushes to the OS (crash-safe to

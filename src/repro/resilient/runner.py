@@ -9,8 +9,9 @@ operational layer a multi-day beam campaign actually needs:
 * a crashed or SIGTERMed run resumes with ``--resume``: journaled units
   are loaded back, only the missing ones are flown;
 * because session streams derive from ``(seed, label)`` alone -- never
-  from cross-session draw order -- and because the journal stores the
-  *encoded* session payload, a resumed run's ``campaign.json`` is
+  from cross-session draw order -- and because the journal stores each
+  unit's compact session record, which the one renderer turns into
+  ``campaign.json``, a resumed run's ``campaign.json`` is
   byte-identical to the uninterrupted run's;
 * work units fly under :class:`~repro.resilient.SupervisedExecutor`
   (timeouts, retries, quarantine, parallel-to-serial degradation), so a
@@ -53,9 +54,10 @@ class ResilientRunReport:
     Attributes
     ----------
     campaign_dict:
-        The encoded campaign (what ``campaign.json`` holds), assembled
-        from the unit payloads and never decoded; resumed sessions keep
-        their journal bytes, quarantined ones are absent.
+        The encoded campaign (what ``campaign.json`` holds), rendered
+        from the unit payloads' session records and never decoded;
+        resumed sessions render from their journal lines, quarantined
+        ones are absent.
     unit_reports:
         One :class:`~repro.resilient.supervisor.UnitReport` per plan,
         in plan order (status ``ok``, ``resumed`` or ``quarantined``).
@@ -115,9 +117,10 @@ class ResilientRunReport:
         """Write campaign.json (+ dmesg logs, + failures.json) atomically.
 
         ``campaign.json`` and every ``<label>.dmesg`` come from
-        :attr:`campaign_dict` -- the journal payload bytes -- not from a
-        decode/re-encode round trip, which is what keeps
-        interrupted-and-resumed runs byte-identical to uninterrupted ones.
+        :attr:`campaign_dict` -- rendered from the journaled session
+        records -- not from a decode/re-encode round trip, which is what
+        keeps interrupted-and-resumed runs byte-identical to
+        uninterrupted ones.
         """
         written = [results.save_campaign_dict(self.campaign_dict)]
         written.extend(results.save_dmesg(self.campaign_dict).values())

@@ -329,13 +329,15 @@ class CampaignService:
     def _assemble_one(self, submission, entries: List[dict]) -> None:
         """Mirror ``ResilientRunReport.persist`` from committed payloads.
 
-        ``campaign.json`` and every ``<label>.dmesg`` are written from
-        the committed payload bytes, assembled by the same
+        ``campaign.json`` and every ``<label>.dmesg`` are rendered from
+        the committed session records by the same
         :func:`~repro.io.json_store.campaign_dict_from_entries` as
         ``run`` (never a decode/re-encode round trip), so a
         service-assembled campaign is byte-identical to a
         ``repro-campaign run`` of the same spec -- the differential
-        suite's ``service`` pairing holds the harness to that.
+        suite's ``service`` pairing holds the harness to that.  A
+        payload of an older record version raises before anything is
+        written.
         ``failures.json`` is written last: its existence is what
         ``submit --wait`` and :meth:`recover` read as "this submission
         is done".
@@ -523,10 +525,13 @@ class CampaignService:
             if http_server is not None:
                 http_server.close()
                 await http_server.wait_closed()
-            self.assemble_settled()
-            self.write_status(state="stopped")
-            self.journal.close()
-            self.executor.close()
+            try:
+                self.assemble_settled()
+            finally:
+                # An assembly that refuses a payload still stops cleanly.
+                self.write_status(state="stopped")
+                self.journal.close()
+                self.executor.close()
         if self._stopping:
             from ..cli import EXIT_INTERRUPTED
 

@@ -13,14 +13,15 @@ Two kinds of gate, both pure functions of the committed
 * **roundtrip** -- the dict decodes through the session model and the
   decode/encode pair *converges*: one more hop reproduces the
   re-encoded dict exactly.  (Strict first-hop equality is deliberately
-  not required -- the decoder documents two lossy fields: per-run
-  failure lists collapse to session scope, and the fluence account is
-  rebuilt as rate x seconds.)  A **invariants** companion gate pins
-  the physics that must survive the first hop anyway: session labels,
-  per-session failure counts, upset counts and durations.  A failure
-  in either means the committed payloads and the in-memory model
-  disagree about the serialization contract, which would silently
-  poison every later ``analyze`` / ``export`` of the directory.
+  not required -- the decoder documents one lossy field: the fluence
+  account is rebuilt as rate x seconds.  A runs list that disagrees
+  with its plan's schedule does not decode at all.)  A **invariants**
+  companion gate pins the physics that must survive the first hop
+  anyway: session labels, per-session failure counts, upset counts and
+  durations.  A failure in either means the committed payloads and the
+  in-memory model disagree about the serialization contract, which
+  would silently poison every later ``analyze`` / ``export`` of the
+  directory.
 * **upsets** -- one Poisson count gate per session: the detected upset
   count must be statistically consistent with the calibrated
   :class:`~repro.injection.calibration.LevelRateModel` expectation for

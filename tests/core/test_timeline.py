@@ -59,9 +59,9 @@ class TestOnSimulatedSession:
         events = np.sort([u.time_s for u in result.upsets.upsets])
         per_run = np.array(
             [
-                np.searchsorted(events, r.start_s + r.duration_s)
-                - np.searchsorted(events, r.start_s)
-                for r in result.runs
+                np.searchsorted(events, start_s + duration_s)
+                - np.searchsorted(events, start_s)
+                for _, start_s, duration_s in result.flown_schedule()
             ]
         )
         assert np.mean(per_run >= 2) < 0.02

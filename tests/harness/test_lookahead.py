@@ -5,7 +5,8 @@ the next runs in one array call and flies the leading all-zero runs
 without drawing again.  Each case below flies its sessions twice: once
 as shipped, and once with the look-ahead forced to find no quiet run,
 so every run draws its own counts.  The two must encode to the same
-``session_to_dict`` JSON bytes and the same metrics snapshot.
+``session_to_dict`` record bytes, the same metrics snapshot and the
+same verdict per run.
 
 The grid spans seeds, time scales from 0.002 to 1.0, the default and
 7 nm nodes and both injector paths.  It includes session 3's 141-failure
@@ -19,6 +20,7 @@ import random
 import pytest
 
 from repro.harness.campaign import Campaign, _fly_session
+from repro.harness.controller import ControlPC
 from repro.harness.session import BeamSession, SessionPlan
 from repro.injection.events import OutcomeKind
 from repro.injection.injector import BeamInjector
@@ -44,7 +46,12 @@ def _per_run(rng, means, index):
 
 
 def fly(case, lookahead):
-    """Fly *case*'s sessions: ``[(result, JSON bytes, snapshot, exposes)]``."""
+    """Fly *case*'s sessions.
+
+    Returns ``[(result, record JSON bytes, snapshot, exposes, verdicts)]``,
+    where *verdicts* holds what each ``run_benchmark`` call returned:
+    the run's verdict, or None for a clean or quiet run.
+    """
     seed, scale, node, vectorized, labels = CASES[case]
     campaign = Campaign(seed=seed, time_scale=scale, tech_node=node)
     flown = []
@@ -52,17 +59,26 @@ def fly(case, lookahead):
         if not lookahead:
             patch.setattr(BeamSession, "_quiet_runs", staticmethod(_per_run))
         exposes = []
+        verdicts = []
         original = BeamInjector.expose
+        original_run = ControlPC.run_benchmark
 
         def counted(self, *args, **kwargs):
             exposes[-1] += 1
             return original(self, *args, **kwargs)
 
+        def judged(self, *args, **kwargs):
+            outcome = original_run(self, *args, **kwargs)
+            verdicts[-1].append(None if outcome is None else outcome.verdict)
+            return outcome
+
         patch.setattr(BeamInjector, "expose", counted)
+        patch.setattr(ControlPC, "run_benchmark", judged)
         for plan in campaign.plans:
             if labels is not None and plan.label not in labels:
                 continue
             exposes.append(0)
+            verdicts.append([])
             result, _bits, snapshot = _fly_session(
                 plan,
                 seed,
@@ -71,7 +87,9 @@ def fly(case, lookahead):
                 tech_node=campaign.tech_node,
             )
             encoded = json.dumps(session_to_dict(result)).encode()
-            flown.append((result, encoded, snapshot, exposes[-1]))
+            flown.append(
+                (result, encoded, snapshot, exposes[-1], verdicts[-1])
+            )
     return flown
 
 
@@ -88,34 +106,34 @@ def test_lookahead_flies_the_per_run_bytes(flights, case):
     ahead, per_run = flights[case]
     assert len(ahead) == len(per_run)
     for flown, reference in zip(ahead, per_run):
-        result, encoded, snapshot, exposes = flown
-        _, ref_encoded, ref_snapshot, ref_exposes = reference
+        result, encoded, snapshot, exposes, verdicts = flown
+        _, ref_encoded, ref_snapshot, ref_exposes, ref_verdicts = reference
         label = result.plan.label
         assert encoded == ref_encoded, label
         assert snapshot == ref_snapshot, label
+        assert verdicts == ref_verdicts, label
+        # Every run passes through run_benchmark once.
+        assert len(verdicts) == result.runs_flown, label
         # Per-run flight exposes every run; the look-ahead only the busy.
-        assert ref_exposes == len(result.runs), label
-        assert exposes < len(result.runs), label
-
-
-def _quiet(run):
-    return not run.failures and not run.upsets.counts
+        assert ref_exposes == result.runs_flown, label
+        assert exposes < result.runs_flown, label
 
 
 def test_the_grid_reaches_every_edge(flights):
     stopped = truncated = crash_between_quiet = False
     for ahead, _ in flights.values():
-        for result, *_ in ahead:
-            plan, runs = result.plan, result.runs
+        for result, *_, verdicts in ahead:
+            plan = result.plan
+            busy = {index for index, _, _ in result.busy_runs}
             if plan.target_failures is not None:
                 stopped |= result.failure_count >= plan.target_failures
-            last = runs[-1]
-            truncated |= last.duration_s < PROFILES[last.benchmark].runtime_s
+            benchmark, _, duration_s = result.flown_schedule()[-1]
+            truncated |= duration_s < PROFILES[benchmark].runtime_s
             crash_between_quiet |= any(
-                runs[i].verdict is OutcomeKind.SYS_CRASH
-                and _quiet(runs[i - 1])
-                and _quiet(runs[i + 1])
-                for i in range(1, len(runs) - 1)
+                verdicts[i] is OutcomeKind.SYS_CRASH
+                and i - 1 not in busy
+                and i + 1 not in busy
+                for i in range(1, result.runs_flown - 1)
             )
     full_session3 = flights["full-stop"][0][0][0]
     assert full_session3.plan.target_failures == 141

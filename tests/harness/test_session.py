@@ -57,7 +57,7 @@ class TestSessionRun:
             "mini", TABLE3_OPERATING_POINTS[0], max_minutes=5.0
         )
         result = run_session(plan)
-        benchmarks = {run.benchmark for run in result.runs}
+        benchmarks = {b for b, _, _ in result.flown_schedule()}
         assert len(benchmarks) == 6
 
     def test_failure_target_stops_session(self):

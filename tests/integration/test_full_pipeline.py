@@ -177,7 +177,7 @@ class TestSessionConsistency:
 
     def test_run_count_consistent_with_runtimes(self, campaign):
         session = campaign.session("session1")
-        total_run_s = sum(r.duration_s for r in session.runs)
+        total_run_s = sum(d for _, _, d in session.flown_schedule())
         assert total_run_s == pytest.approx(
             session.duration_minutes * 60, rel=0.01
         )

@@ -115,6 +115,8 @@ def test_run_bytes_match_the_pins(tmp_path, run):
 def test_full_length_campaign_matches_the_pin(tmp_path):
     found = digests(tmp_path / "out", FULL)
     assert found["campaign.json"] == FULL_CAMPAIGN
+    # The journal holds compact session records, not every run.
+    assert os.path.getsize(tmp_path / "out" / "journal.jsonl") <= 1_000_000
 
 
 def test_telemetry_counters_match_the_pin(tmp_path):

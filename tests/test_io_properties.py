@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.beam.fluence import FluenceAccount
 from repro.harness.campaign import CampaignResult
-from repro.harness.session import SessionPlan, SessionResult
+from repro.harness.session import SessionPlan, SessionResult, run_schedule
 from repro.injection.events import FailureEvent, OutcomeKind, UpsetEvent
 from repro.injection.injector import InjectionSummary
 from repro.io.json_store import campaign_from_dict, campaign_to_dict
@@ -70,6 +70,8 @@ def build_campaign(upset_list, failure_list, edac_list) -> CampaignResult:
         ),
         failures=sorted(failure_list, key=lambda f: f.time_s),
         edac=edac,
+        # A plan without a stopping rule flies its whole schedule.
+        runs_flown=len(run_schedule(plan)),
     )
     result = CampaignResult(sram_bits=80_236_544)
     result.sessions["session1"] = session
