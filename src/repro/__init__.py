@@ -40,7 +40,7 @@ Subpackages
 ``repro.telemetry``
     Observability: metrics, span tracing, run manifests, exporters.
 ``repro.resilient``
-    Fault tolerance: checkpoint/resume journal, supervised execution,
+    Fault tolerance: resumable runs, supervised execution,
     deterministic chaos injection.
 ``repro.codecs``
     Pluggable ECC design space: codec registry, DEC-TED/SEC-DAEC/BCH,

@@ -7,23 +7,28 @@ Subcommands::
                               [--timeout S] [--retries N] [--chaos SPEC]
         Fly the Table 2 campaign and persist everything under OUTDIR
         (campaign.json + per-session dmesg captures + manifest.json +
-        the checkpoint journal + failures.json).
+        failures.json + the checkpoints under OUTDIR/scheduler).
         --workers N > 1 flies sessions on separate processes; the
         output is bit-identical to the serial run.  --telemetry records
         metrics and spans into the manifest and prints a summary
         (campaign.json stays byte-identical either way).
-        Every completed work unit is checkpointed to journal.jsonl; an
+        Every completed work unit is committed to OUTDIR/scheduler,
+        the checksummed store `explore` and `serve` use; an
         interrupted run (SIGTERM/SIGINT, exit 143/130) resumes with
         --resume, producing campaign.json byte-identical to an
-        uninterrupted run.  Rerunning an OUTDIR that already holds a
-        journal without --resume is refused (it would destroy the
-        checkpoints); pass --fresh to discard them deliberately.  Work units fly under supervision: --timeout
-        bounds each unit, --retries bounds transient-failure retries
-        (deterministic exponential backoff), and persistently failing
-        units are quarantined.  Without --strict a partial campaign
-        still exits 0 (with a failure table); --strict exits 3 when any
-        unit ended quarantined.  --chaos JSON|FILE injects
-        deterministic faults into the harness itself (self-test /CI).
+        uninterrupted run.  --resume refuses commits of another
+        configuration.  Rerunning an OUTDIR that already holds
+        scheduler state without --resume is refused (it would destroy
+        the checkpoints); pass --fresh to discard them deliberately.
+        An OUTDIR holding journal.jsonl, the checkpoint format before
+        the store, is refused unless --fresh removes it.  Work units
+        fly under supervision: --timeout bounds each unit, --retries
+        bounds transient-failure retries (deterministic exponential
+        backoff), and persistently failing units are quarantined.
+        Without --strict a partial campaign still exits 0 (with a
+        failure table); --strict exits 3 when any unit ended
+        quarantined.  --chaos JSON|FILE injects deterministic faults
+        into the harness itself (self-test /CI).
 
     repro-campaign analyze OUTDIR [--artifact table2|fig8|fig11|summary]
         Reload a stored campaign and print an analysis artifact.
@@ -36,8 +41,9 @@ Subcommands::
 
     repro-campaign stats OUTDIR [--format console|json|prometheus]
         Render a stored run's manifest and telemetry.  Refuses (exit 1)
-        when the manifest's config hash disagrees with the checkpoint
-        journal's -- mixed-provenance results directories lie about
+        when a commit under OUTDIR/scheduler belongs to another config
+        hash than the manifest's, or when OUTDIR holds a pre-store
+        journal.jsonl -- mixed-provenance results directories lie about
         which configuration produced the numbers.
 
     repro-campaign validate [--suite conformance|differential|statistical]
@@ -55,7 +61,8 @@ Subcommands::
         (repro.codecs) through the scheduler broker: every cell is a
         leased work unit committed to OUTDIR/scheduler, so an
         interrupted sweep (exit 143) resumes with --resume and loses
-        at most the in-flight cells.  Cells run real
+        at most the in-flight cells (--resume refuses another sweep's
+        commits).  Cells run real
         encode/corrupt/decode arithmetic against the calibrated MBU
         cluster model; the output is pareto.json (per-cell FIT tables
         with Garwood/Wilson intervals plus the FIT-vs-area-vs-energy
@@ -100,6 +107,11 @@ Subcommands::
     repro-campaign cancel ROOT SUBMISSION
         Drop a submission's queued units (in-flight ones finish).
 
+    repro-campaign quarantine ROOT [--requeue] [--json]
+        List the commits that failed verification under ROOT/scheduler
+        (a serve root, explore or run outdir) with their reasons;
+        --requeue clears the records so the units replan and recommit.
+
 The separation mirrors real campaign practice: `run` burns (simulated)
 beam time once; `analyze`/`export`/`stats`/`validate` are free and
 repeatable.
@@ -123,6 +135,7 @@ from .errors import (
     CampaignInterrupted,
     ConfigurationError,
     ReproError,
+    ReproIOError,
     SchedulerBusy,
 )
 from .harness.campaign import CampaignResult
@@ -155,9 +168,9 @@ EXIT_INTERRUPTED = 143
 def _interruptible():
     """Turn SIGTERM/SIGINT into :class:`CampaignInterrupted`.
 
-    The journal is fsynced after every completed unit, so raising out
-    of the run loop (instead of dying mid-write) just stops cleanly at
-    the last checkpoint; ``--resume`` picks the run back up.
+    Every completed unit is already committed, so raising out of the
+    run loop (instead of dying mid-write) just stops cleanly at the
+    last commit; ``--resume`` picks the run back up.
     """
 
     def _handler(signum, frame):
@@ -193,19 +206,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tech_node=args.node,
     )
     results = ResultsDirectory(args.outdir)
-    if args.resume and not results.has_journal():
+    if not args.fresh:
+        results.refuse_legacy_journal()
+    if not args.resume and not args.fresh and results.has_checkpoints():
+        # Starting over silently discards the store -- for a multi-day
+        # campaign that destroys every checkpoint before a single new
+        # unit completes, so make the operator choose.
         print(
-            f"error: no journal under {args.outdir!r} to resume from "
-            f"(run without --resume first)",
-            file=sys.stderr,
-        )
-        return 1
-    if not args.resume and not args.fresh and results.has_journal():
-        # Starting over silently truncates the journal -- for a
-        # multi-day campaign that destroys every checkpoint before a
-        # single new unit completes, so make the operator choose.
-        print(
-            f"error: {args.outdir!r} already holds a checkpoint journal; "
+            f"error: {args.outdir!r} already holds scheduler state; "
             f"resume it with --resume, or pass --fresh to discard the "
             f"checkpoints and start over",
             file=sys.stderr,
@@ -220,8 +228,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 report = runner.run(results, resume=args.resume)
     except CampaignInterrupted as exc:
         print(
-            f"interrupted ({exc}); completed units are journaled under "
-            f"{args.outdir} -- resume with:\n"
+            f"interrupted ({exc}); completed units are committed under "
+            f"{results.scheduler_dir()} -- resume with:\n"
             f"  repro-campaign run {shlex.quote(args.outdir)} --resume "
             f"--seed {args.seed} --time-scale {args.time_scale}"
             + (f" --node {shlex.quote(args.node)}" if args.node else ""),
@@ -408,26 +416,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     results = ResultsDirectory(args.outdir)
+    results.refuse_legacy_journal()
     manifest = results.load_manifest()
-    if results.has_journal():
-        # The manifest claims a configuration; the journal proves one.
+    if results.has_checkpoints():
+        # The manifest claims a configuration; the commit ids prove one.
         # Disagreement means the directory mixes artifacts from
         # different runs (e.g. a re-run under new settings that died
         # before rewriting the manifest) -- any stats rendered from it
         # would attribute one configuration's numbers to another.
-        from .resilient.journal import read_journal_header
+        from .scheduler import DirectoryStore
 
-        header = read_journal_header(results.journal_path())
-        if header.config_hash != manifest.config_hash:
+        try:
+            DirectoryStore(results.scheduler_dir()).check_config(
+                manifest.config_hash
+            )
+        except ReproIOError as exc:
             print(
                 f"error: {args.outdir!r} holds artifacts from different "
                 f"runs: manifest.json was written by config "
                 f"{manifest.config_hash[:12]} (seed={manifest.seed}, "
-                f"time_scale={manifest.time_scale}) but the checkpoint "
-                f"journal belongs to config {header.config_hash[:12]} "
-                f"(seed={header.seed}, time_scale={header.time_scale}); "
-                f"re-run with --fresh, or resume the journaled run to "
-                f"completion, before reading stats",
+                f"time_scale={manifest.time_scale}), but {exc}",
                 file=sys.stderr,
             )
             return 1
@@ -592,12 +600,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from .tech import DEFAULT_NODE
 
     spec = _sweep_spec_from_args(args)
+    plan = plan_sweep(spec)
     scheduler_dir = os.path.join(args.outdir, "scheduler")
-    committed = (
-        DirectoryStore(scheduler_dir).committed_units()
-        if os.path.isdir(scheduler_dir)
-        else []
+    store = (
+        DirectoryStore(scheduler_dir) if os.path.isdir(scheduler_dir) else None
     )
+    committed = store.committed_units() if store is not None else []
     if args.resume and not committed:
         print(
             f"error: no committed cells under {scheduler_dir!r} to resume "
@@ -605,10 +613,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.resume:
+        store.check_config(plan.config_hash)
     if committed and not args.resume and not args.fresh:
         # Rerunning over a half-swept directory silently mixes two
         # sweeps' commits; make the operator choose, exactly like
-        # `run` does for its checkpoint journal.
+        # `run` does for its checkpoints.
         print(
             f"error: {args.outdir!r} already holds {len(committed)} "
             f"committed sweep cell(s); resume the sweep with --resume, or "
@@ -634,7 +644,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         store=DirectoryStore(scheduler_dir),
         broker_id="explore",
     )
-    plan = plan_sweep(spec)
     submission = broker.submit(plan)
     sid = submission.submission_id
     total = len(plan.units)
@@ -672,7 +681,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     try:
         with _interruptible():
             # run_cell payloads are JSON-shaped; committing them
-            # verbatim makes the store the checkpoint journal.
+            # verbatim makes the store the sweep's checkpoints.
             broker.drain(
                 executor, lambda lease, report, cell: cell, _progress
             )
@@ -968,8 +977,8 @@ def _cmd_quarantine(args: argparse.Namespace) -> int:
     if not os.path.isdir(state):
         print(
             f"error: no scheduler state under {args.root!r} "
-            f"(expected {state}; point me at a serve root or an "
-            f"explore outdir)",
+            f"(expected {state}; point me at a serve root, or an "
+            f"explore or run outdir)",
             file=sys.stderr,
         )
         return 1
@@ -1036,17 +1045,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record metrics/spans into manifest.json and print a summary",
     )
-    journal_mode = run.add_mutually_exclusive_group()
-    journal_mode.add_argument(
+    checkpoint_mode = run.add_mutually_exclusive_group()
+    checkpoint_mode.add_argument(
         "--resume",
         action="store_true",
-        help="resume an interrupted run from OUTDIR's checkpoint journal",
+        help="resume an interrupted run from the commits under "
+        "OUTDIR/scheduler",
     )
-    journal_mode.add_argument(
+    checkpoint_mode.add_argument(
         "--fresh",
         action="store_true",
-        help="discard OUTDIR's existing checkpoint journal and start "
-        "over (without this, rerunning a journaled OUTDIR is refused)",
+        help="discard OUTDIR's checkpoints (scheduler state, or a "
+        "pre-store journal.jsonl) and start over (without this, "
+        "rerunning such an OUTDIR is refused)",
     )
     run.add_argument(
         "--strict",
@@ -1095,7 +1106,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     stats = sub.add_parser(
-        "stats", help="render a stored run's manifest and telemetry"
+        "stats",
+        help="render a stored run's manifest and telemetry (exit 1 when "
+        "OUTDIR mixes runs of different configurations)",
     )
     stats.add_argument("outdir")
     stats.add_argument(
@@ -1377,7 +1390,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="list (or requeue) a root's quarantined work units",
     )
     quarantine.add_argument(
-        "root", help="a serve root or explore outdir holding scheduler state"
+        "root",
+        help="a serve root, explore or run outdir holding scheduler state",
     )
     quarantine.add_argument(
         "--requeue",

@@ -95,8 +95,8 @@ class ChaosError(ReproError):
 class CampaignInterrupted(ReproError):
     """A campaign run was interrupted (SIGTERM or injected crash).
 
-    The journal written so far is intact; ``repro-campaign run --resume``
-    picks the campaign up from the last completed work unit.
+    The units committed so far are intact; ``repro-campaign run
+    --resume`` picks the campaign up from the last committed work unit.
     """
 
 
@@ -142,10 +142,6 @@ class StoreUnavailable(SchedulerError):
     like :class:`SchedulerBusy`) instead of wedging or silently
     dropping state.
     """
-
-
-class LogbookError(ReproError):
-    """A logbook entry used a kind outside the documented closed set."""
 
 
 class ValidationError(ReproError):

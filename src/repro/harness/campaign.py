@@ -192,8 +192,8 @@ class Campaign:
             "plans": [asdict(plan) for plan in self.plans],
         }
         # The node folds in only when non-default, so every pre-existing
-        # campaign hash (and the checkpoint journals pinned on them)
-        # stays byte-identical.
+        # campaign hash (and the commit ids prefixed with it) stays
+        # byte-identical.
         if self.tech_node is not None:
             data["tech_node"] = self.tech_node
         return stable_config_hash(data)

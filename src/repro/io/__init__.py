@@ -13,7 +13,7 @@ subpackage gives the reproduction the same workflow: serialize a
   events, EDAC records and fluence accounts.
 * :mod:`repro.io.results_dir` -- an on-disk results directory: the
   campaign JSON plus one CSV per regenerated table/figure, the run
-  manifest, and the resilient layer's checkpoint journal.
+  manifest, and where a run keeps its checkpoint store.
 """
 
 from .atomic import (

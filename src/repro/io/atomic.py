@@ -10,9 +10,9 @@ file or the new file, never a torn half-write.  The temporary file is
 created like a plain :func:`open` would create it, so the umask sets
 the artifact's mode.
 
-The only writers that do not come here each have a reason: the two
-append-only journals (:mod:`repro.resilient.journal`) append rather
-than replace, the scheduler store's raw primitives
+The only writers that do not come here each have a reason: the
+service's append-only event journal (:mod:`repro.resilient.journal`)
+appends rather than replaces, the scheduler store's raw primitives
 (:mod:`repro.scheduler.store`) are what its chaos wrapper intercepts,
 and a fencing epoch (:mod:`repro.scheduler.fencing`) must fail if its
 file exists, so it is claimed with an exclusive :func:`os.link`.

@@ -1,7 +1,7 @@
 """Lossless JSON encoding of campaign results.
 
 A flown session travels as its compact *record*
-(:func:`session_to_dict`): the journal line, the store commit and
+(:func:`session_to_dict`): the store commit, the pool reply and
 :func:`campaign_dict_from_entries` all carry it.  The record keeps the
 session-level data and, of the runs, only their number and the sparse
 table of runs that struck or failed something:
@@ -211,9 +211,9 @@ def unit_payload(lease, report, result) -> dict:
 
     *lease* gives the unit's label and the supervisor's *report* its
     attempt count; the signature is the ``encode`` of
-    :meth:`~repro.scheduler.Broker.settle`.  The journal line, the store
-    commit and :func:`campaign_dict_from_entries` all carry exactly
-    this dict, whose ``session`` is the compact record.
+    :meth:`~repro.scheduler.Broker.settle`.  The store commit and
+    :func:`campaign_dict_from_entries` carry exactly this dict, whose
+    ``session`` is the compact record.
     """
     session, sram_bits, snapshot = result
     return {
@@ -242,12 +242,12 @@ def _checked_record(entry: dict) -> dict:
 def campaign_dict_from_entries(entries: List[dict]) -> dict:
     """Assemble a campaign dict from unit payloads, in plan order.
 
-    *entries* are :func:`unit_payload` dicts, as ``run`` journals them
-    and ``serve`` commits them.  Each session record is rendered by
-    :func:`render_session` -- never decoded to a :class:`SessionResult`
-    and re-encoded -- which is what keeps a resumed, broker-sharded or
-    service-assembled ``campaign.json`` identical to an uninterrupted
-    run's.  Every record is checked before any is rendered, so a legacy
+    *entries* are :func:`unit_payload` dicts, as ``run``, ``serve``
+    and the broker pairings commit them.  Each session record is
+    rendered by :func:`render_session` -- never decoded to a
+    :class:`SessionResult` and re-encoded -- which is what keeps a
+    resumed, broker-sharded or service-assembled ``campaign.json``
+    identical to an uninterrupted run's.  Every record is checked before any is rendered, so a legacy
     payload raises :class:`~repro.errors.ReproIOError` naming its unit
     before anything is written.
     """

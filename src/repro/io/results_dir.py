@@ -2,7 +2,8 @@
 
 ``ResultsDirectory`` gives the reproduction the same artifact layout a
 real campaign leaves behind: the raw data (``campaign.json``), the run
-bookkeeping (``manifest.json``), the regenerated tables (``table2.csv``
+bookkeeping (``manifest.json``, ``failures.json``), the run's
+checkpoints (``scheduler/``), the regenerated tables (``table2.csv``
 ... ``fig13.csv``), and the session logcaptures (``<label>.dmesg``).
 """
 
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 from typing import Dict, Iterable
 
 from ..core.report import Table
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ReproIOError
 from ..harness.campaign import CampaignResult
 from ..telemetry import RunManifest
 from .atomic import atomic_write_json, atomic_write_text
@@ -31,8 +33,11 @@ class ResultsDirectory:
 
     CAMPAIGN_FILE = "campaign.json"
     MANIFEST_FILE = "manifest.json"
-    JOURNAL_FILE = "journal.jsonl"
     FAILURES_FILE = "failures.json"
+    SCHEDULER_DIR = "scheduler"
+    #: The checkpoint journal ``run`` kept before it checkpointed into
+    #: ``scheduler/``; refused, never read.
+    LEGACY_JOURNAL_FILE = "journal.jsonl"
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -45,23 +50,38 @@ class ResultsDirectory:
 
     # -- resilient-run artifacts -----------------------------------------------
 
-    def journal_path(self, ensure_root: bool = False) -> str:
-        """Path of the checkpoint journal (see :mod:`repro.resilient`)."""
-        if ensure_root:
-            self._ensure_root()
-        return self._path(self.JOURNAL_FILE)
+    def scheduler_dir(self) -> str:
+        """The run's checkpoint store (a ``DirectoryStore`` root)."""
+        return self._path(self.SCHEDULER_DIR)
 
-    def has_journal(self) -> bool:
-        """True if a checkpoint journal exists (a run can be resumed)."""
-        return os.path.exists(self._path(self.JOURNAL_FILE))
+    def has_checkpoints(self) -> bool:
+        """True if a run left scheduler state here (it can be resumed)."""
+        return os.path.isdir(self.scheduler_dir())
+
+    def refuse_legacy_journal(self) -> None:
+        """Raise :class:`ReproIOError` if a pre-store journal is here."""
+        if os.path.exists(self._path(self.LEGACY_JOURNAL_FILE)):
+            raise ReproIOError(
+                f"{self.root!r} holds {self.LEGACY_JOURNAL_FILE}, the "
+                f"checkpoint format from before runs checkpointed into "
+                f"{self.SCHEDULER_DIR}/; it can be neither resumed nor "
+                f"checked -- start afresh with --fresh, which removes it"
+            )
 
     def failures_path(self) -> str:
         """Path of the per-unit failure report of the last run."""
         return self._path(self.FAILURES_FILE)
 
     def discard_run(self, labels: Iterable[str]) -> None:
-        """Remove what a run writes: its JSON files and each label's .dmesg."""
-        names = [self.CAMPAIGN_FILE, self.FAILURES_FILE, self.MANIFEST_FILE]
+        """Remove what a run writes: checkpoints, JSON files, .dmesg logs."""
+        if self.has_checkpoints():
+            shutil.rmtree(self.scheduler_dir())
+        names = [
+            self.CAMPAIGN_FILE,
+            self.FAILURES_FILE,
+            self.MANIFEST_FILE,
+            self.LEGACY_JOURNAL_FILE,
+        ]
         for name in names + [f"{label}.dmesg" for label in labels]:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self._path(name))

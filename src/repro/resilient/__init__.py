@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: checkpoint/resume, supervision, chaos.
+"""Fault-tolerant execution: supervision, resumable runs, chaos.
 
 The paper's campaigns burned 64+ beam-hours and routinely ended runs in
 AppCrash/SysCrash; a harness that loses the whole campaign when one
@@ -10,16 +10,18 @@ of a real beam-test runner:
   with deterministic backoff, SDC/AppCrash/SysCrash failure triage,
   quarantine of poison units, and graceful parallel-to-serial
   degradation when workers keep dying;
-* :class:`CampaignJournal` -- an append-only, fsynced JSONL checkpoint
-  of completed work units;
-* :class:`ResilientCampaign` -- the checkpointed campaign runner behind
-  ``repro-campaign run`` and its ``--resume`` flag, with byte-identical
-  resume semantics;
+* :class:`ResilientCampaign` -- the campaign runner behind
+  ``repro-campaign run`` and its ``--resume`` flag: a drain through a
+  broker backed by the results directory's
+  :class:`~repro.scheduler.DirectoryStore`, with byte-identical resume
+  semantics;
+* :class:`EventJournal` -- the service's append-only, fsynced JSONL log
+  of scheduling events;
 * :mod:`repro.resilient.chaos` -- deterministic fault injection into
   the harness itself (raising/hanging/killed/crashing units), the
   machinery behind ``tests/chaos/``.
 
-Determinism contract: supervision, journaling and chaos never touch an
+Determinism contract: supervision, checkpoints and chaos never touch an
 RNG stream; unit streams derive from ``(seed, label)`` alone, so
 retried, resumed, or fault-riddled runs produce byte-identical
 ``campaign.json`` artifacts once their units complete.
@@ -32,15 +34,7 @@ from .chaos import (
     FAULT_KINDS,
     SimulatedCrash,
 )
-from .journal import (
-    CampaignJournal,
-    EventJournal,
-    FSYNC_POLICIES,
-    JournalEntry,
-    JournalHeader,
-    LoadedJournal,
-    read_journal_header,
-)
+from .journal import EventJournal
 from .policy import (
     FailureClass,
     SupervisionPolicy,
@@ -56,13 +50,7 @@ __all__ = [
     "ChaosTransientError",
     "FAULT_KINDS",
     "SimulatedCrash",
-    "CampaignJournal",
     "EventJournal",
-    "FSYNC_POLICIES",
-    "JournalEntry",
-    "JournalHeader",
-    "LoadedJournal",
-    "read_journal_header",
     "FailureClass",
     "SupervisionPolicy",
     "UnitTimeoutError",

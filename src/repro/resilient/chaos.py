@@ -25,7 +25,7 @@ RNG streams derive from ``(seed, label)`` only -- byte-identical
 campaign results once the faults are survived.
 
 ``crash_after_units`` additionally crashes the *runner* (not a worker)
-after the N-th unit has been journaled, which is how the tests
+after the N-th unit has been committed, which is how the tests
 simulate a mid-campaign SIGTERM at an exact, reproducible point.
 """
 
@@ -74,7 +74,7 @@ class ChaosSpec:
         supervision timeout in tests).
     crash_after_units:
         Crash the runner with :class:`SimulatedCrash` once this many
-        units have been journaled (``None`` = never).
+        units have been committed (``None`` = never).
     """
 
     units: Dict[str, Tuple[str, ...]] = field(default_factory=dict)

@@ -4,23 +4,26 @@ The plain :class:`~repro.harness.campaign.Campaign` loses everything if
 one session raises or the run is interrupted; this runner adds the
 operational layer a multi-day beam campaign actually needs:
 
-* every completed work unit is checkpointed to an append-only JSONL
-  journal (fsynced per unit) *as it completes*;
-* a crashed or SIGTERMed run resumes with ``--resume``: journaled units
-  are loaded back, only the missing ones are flown;
+* the campaign is planned once (stable ``<hash12>/<label>`` unit ids)
+  and drained through a :class:`~repro.scheduler.Broker` backed by a
+  :class:`~repro.scheduler.DirectoryStore` under ``OUTDIR/scheduler``,
+  as ``explore`` and ``serve`` drain theirs: every completed unit is
+  committed *as it completes*, as a checksummed record that is read
+  back and verified;
+* a crashed or SIGTERMed run resumes with ``--resume``: the broker's
+  submit recovers the committed units (a commit that fails
+  verification is quarantined and its unit flown again), and only the
+  missing units are flown;
 * because session streams derive from ``(seed, label)`` alone -- never
-  from cross-session draw order -- and because the journal stores each
+  from cross-session draw order -- and because each commit holds the
   unit's compact session record, which the one renderer turns into
   ``campaign.json``, a resumed run's ``campaign.json`` is
   byte-identical to the uninterrupted run's;
 * work units fly under :class:`~repro.resilient.SupervisedExecutor`
   (timeouts, retries, quarantine, parallel-to-serial degradation), so a
-  poison unit costs its own data, not the campaign's;
-* an in-memory broker is the run's only record of what finished: units
-  settle through :meth:`~repro.scheduler.Broker.drain`, as in
-  ``explore``, and ``campaign.json`` is assembled from its payloads.
+  poison unit costs its own data, not the campaign's.
 
-Telemetry: per-unit metric snapshots ride in the journal, so a resumed
+Telemetry: per-unit metric snapshots ride in the commits, so a resumed
 run's merged counters equal the uninterrupted run's (the resume itself
 is visible separately as ``resilient.resumed_units``).
 """
@@ -35,15 +38,10 @@ from ..harness.campaign import Campaign
 from ..io.json_store import campaign_dict_from_entries, unit_payload
 from ..io.results_dir import ResultsDirectory
 from ..io.atomic import atomic_write_json
-from ..scheduler import Broker
+from ..scheduler import Broker, DirectoryStore
 from ..telemetry import NULL_TELEMETRY
 from ..core.report import Table
 from .chaos import ChaosSpec, SimulatedCrash
-from .journal import (
-    CampaignJournal,
-    JournalEntry,
-    JournalHeader,
-)
 from .policy import SupervisionPolicy
 from .supervisor import SupervisedExecutor, UnitReport
 
@@ -56,13 +54,13 @@ class ResilientRunReport:
     campaign_dict:
         The encoded campaign (what ``campaign.json`` holds), rendered
         from the unit payloads' session records and never decoded;
-        resumed sessions render from their journal lines, quarantined
+        resumed sessions render from their store commits, quarantined
         ones are absent.
     unit_reports:
         One :class:`~repro.resilient.supervisor.UnitReport` per plan,
         in plan order (status ``ok``, ``resumed`` or ``quarantined``).
-    resumed_units / salvaged_lines:
-        Resume bookkeeping (0 on a fresh run).
+    resumed_units:
+        Units recovered from the store's commits (0 on a fresh run).
     """
 
     def __init__(
@@ -70,12 +68,10 @@ class ResilientRunReport:
         campaign_dict: dict,
         unit_reports: List[UnitReport],
         resumed_units: int = 0,
-        salvaged_lines: int = 0,
     ) -> None:
         self.campaign_dict = campaign_dict
         self.unit_reports = unit_reports
         self.resumed_units = resumed_units
-        self.salvaged_lines = salvaged_lines
 
     @property
     def ok(self) -> bool:
@@ -104,12 +100,16 @@ class ResilientRunReport:
         return table
 
     def failures_dict(self) -> dict:
-        """JSON-shaped failure report (persisted as ``failures.json``)."""
+        """JSON-shaped failure report (persisted as ``failures.json``).
+
+        ``salvaged_lines`` is always 0: commits are verified records, so
+        a resume never salvages a torn one; the key keeps the schema.
+        """
         return {
             "schema": 1,
             "ok": self.ok,
             "resumed_units": self.resumed_units,
-            "salvaged_lines": self.salvaged_lines,
+            "salvaged_lines": 0,
             "units": [r.to_dict() for r in self.unit_reports],
         }
 
@@ -117,7 +117,7 @@ class ResilientRunReport:
         """Write campaign.json (+ dmesg logs, + failures.json) atomically.
 
         ``campaign.json`` and every ``<label>.dmesg`` come from
-        :attr:`campaign_dict` -- rendered from the journaled session
+        :attr:`campaign_dict` -- rendered from the committed session
         records -- not from a decode/re-encode round trip, which is what
         keeps interrupted-and-resumed runs byte-identical to
         uninterrupted ones.
@@ -133,9 +133,10 @@ class ResilientRunReport:
 class ResilientCampaign:
     """A :class:`Campaign` wrapped in checkpointing and supervision.
 
-    A finished unit is kept only as its encoded payload, in the run's
-    broker, and assembled by the same :mod:`repro.io.json_store`
-    functions as in ``serve``; the live session result is dropped.
+    A finished unit is kept only as its encoded payload, committed to
+    the run's store and held by its broker, and assembled by the same
+    :mod:`repro.io.json_store` functions as in ``serve``; the live
+    session result is dropped.
 
     Parameters
     ----------
@@ -147,8 +148,6 @@ class ResilientCampaign:
         Worker processes for the supervised executor (0/1 = serial).
     chaos:
         Optional deterministic fault plan (harness self-test only).
-    fsync:
-        Journal fsync policy (``"unit"`` or ``"never"``).
     """
 
     def __init__(
@@ -157,7 +156,6 @@ class ResilientCampaign:
         policy: Optional[SupervisionPolicy] = None,
         workers: int = 0,
         chaos: Optional[ChaosSpec] = None,
-        fsync: str = "unit",
         tech_node: Optional[str] = None,
     ) -> None:
         # Reuse Campaign's plan preparation (time scaling, flux
@@ -167,7 +165,6 @@ class ResilientCampaign:
         self.context = context
         self.plans = self._campaign.plans
         self.chaos = chaos
-        self.fsync = fsync
         self.executor = SupervisedExecutor(
             policy=policy,
             workers=workers,
@@ -184,73 +181,44 @@ class ResilientCampaign:
     def run(
         self, results: ResultsDirectory, resume: bool = False
     ) -> ResilientRunReport:
-        """Fly (or resume) the campaign, checkpointing every unit.
+        """Fly (or resume) the campaign, committing every unit.
 
-        With ``resume=True`` an existing journal under *results* is
-        loaded, its config hash checked against this configuration, and
-        only the units it does not hold are flown.  Otherwise the
-        journal starts afresh, and what a previous run left under
-        *results* (``campaign.json``, ``failures.json``,
-        ``manifest.json``, the plan's ``.dmesg`` files) is removed
-        before the first unit flies.
+        With ``resume=True`` the store under *results* must exist and
+        hold only this configuration's commits; they are recovered and
+        only the units it does not hold are flown.  Otherwise what a
+        previous run left under *results* (its store, ``campaign.json``,
+        ``failures.json``, ``manifest.json``, the plan's ``.dmesg``
+        files) is removed before the first unit flies.
         """
         telemetry = self.context.telemetry or NULL_TELEMETRY
         labels = [plan.label for plan in self.plans]
-        header = JournalHeader(
-            config_hash=self.config_hash(),
-            seed=self.context.seed,
-            time_scale=self.context.time_scale,
-            units=tuple(labels),
-        )
-        journal_path = results.journal_path(ensure_root=True)
-
-        # Resumed unit payloads by label.
-        completed: Dict[str, dict] = {}
-        salvaged = 0
-        if resume:
-            loaded = CampaignJournal.load(journal_path)
-            stored_header, salvaged = loaded.header, loaded.salvaged
-            if stored_header.config_hash != header.config_hash:
-                raise ReproIOError(
-                    f"journal at {journal_path!r} was written by a "
-                    f"different campaign configuration "
-                    f"(hash {stored_header.config_hash[:12]}... vs "
-                    f"{header.config_hash[:12]}...); refusing to resume"
-                )
-            # Drop journal entries for units no longer in the plan
-            # (config hash covers plans, so this cannot happen unless
-            # the hash matched -- keep it as a hard invariant anyway).
-            # A JournalEntry's fields are the unit payload's keys.
-            completed = {
-                key: vars(entry)
-                for key, entry in loaded.entries.items()
-                if key in set(labels)
-            }
-            if salvaged:
-                telemetry.count("resilient.journal_salvaged", n=salvaged)
-            telemetry.count("resilient.resumed_units", n=len(completed))
-            # Truncate to the last valid line so a salvaged torn tail
-            # is removed before new records are appended after it.
-            journal = CampaignJournal(journal_path, fsync=self.fsync).reopen(
-                valid_end=loaded.valid_end
-            )
-        else:
-            results.discard_run(labels)
-            journal = CampaignJournal.create(
-                journal_path, header, fsync=self.fsync
-            )
-
-        # The campaign is planned once (stable unit ids), journaled
-        # units are settled as recovered with their payloads, and only
-        # the remainder is leased to the executor.
         plan = self._campaign.plan_campaign()
-        broker = Broker(telemetry=telemetry)
+        root = results.scheduler_dir()
+        if not resume:
+            results.discard_run(labels)
+        elif not results.has_checkpoints():
+            raise ReproIOError(
+                f"no checkpoints under {root!r} to resume from "
+                f"(run without --resume first)"
+            )
+        store = DirectoryStore(root)
+        if resume:
+            store.check_config(plan.config_hash)
+        # A fixed broker id: a resumed run owns whatever its killed
+        # predecessor left leased, and its newer fencing epoch
+        # supersedes the dead process's.  Submitting recovers the
+        # committed units; only the remainder is leased.
+        broker = Broker(
+            lease_ttl_s=3600.0,
+            store=store,
+            telemetry=telemetry,
+            broker_id="run",
+        )
         broker.submit(plan)
         reports: Dict[str, UnitReport] = {}
         for unit in plan.units:
-            payload = completed.get(unit.label)
+            payload = broker.unit_payload(unit.unit_id)
             if payload is not None:
-                broker.mark_recovered(unit.unit_id, payload)
                 reports[unit.label] = UnitReport(
                     key=unit.label,
                     status="resumed",
@@ -258,18 +226,22 @@ class ResilientCampaign:
                     retries=0,
                     timeouts=0,
                 )
+        resumed = len(reports)
+        if resume:
+            telemetry.count("resilient.resumed_units", n=resumed)
 
-        def _checkpoint(lease, report: UnitReport, payload) -> None:
+        def _settled(lease, report: UnitReport, payload) -> None:
             reports[lease.label] = report
-            if payload is None:
+            if (
+                payload is None
+                or self.chaos is None
+                or self.chaos.crash_after_units is None
+            ):
                 return
-            journal.append_unit(JournalEntry(**payload))
-            if self.chaos is None or self.chaos.crash_after_units is None:
-                return
-            journaled = len(broker.entries_for(plan.submission_id))
-            if journaled >= self.chaos.crash_after_units:
+            committed = len(broker.entries_for(plan.submission_id))
+            if committed >= self.chaos.crash_after_units:
                 raise SimulatedCrash(
-                    f"chaos: simulated crash after {journaled} journaled "
+                    f"chaos: simulated crash after {committed} committed "
                     f"unit(s)"
                 )
 
@@ -277,16 +249,15 @@ class ResilientCampaign:
             with telemetry.span(
                 "campaign.resilient_run",
                 sessions=len(self.plans),
-                resumed=len(completed),
+                resumed=resumed,
             ):
                 broker.drain(
                     self.executor,
                     unit_payload,
-                    on_settled=_checkpoint,
+                    on_settled=_settled,
                     telemetry=self.context.telemetry,
                 )
         finally:
-            journal.close()
             self.executor.close()
 
         entries = broker.entries_for(plan.submission_id)
@@ -295,6 +266,5 @@ class ResilientCampaign:
         return ResilientRunReport(
             campaign_dict=campaign_dict_from_entries(entries),
             unit_reports=[reports[label] for label in labels],
-            resumed_units=len(completed),
-            salvaged_lines=salvaged,
+            resumed_units=resumed,
         )

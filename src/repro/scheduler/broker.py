@@ -355,17 +355,6 @@ class Broker:
         self._update_gauges()
         return submission
 
-    def mark_recovered(self, unit_id: str, payload: Optional[dict]) -> None:
-        """Settle a unit from prior persisted state (journal resume)."""
-        record = self._require_unit(unit_id)
-        if record.status == DONE:
-            return
-        self._set_status(record, DONE)
-        record.payload = payload
-        self.telemetry.count("scheduler.recovered")
-        self._record_event("recover", unit=unit_id)
-        self._update_gauges()
-
     # -- leasing -----------------------------------------------------------------
 
     def lease(

@@ -13,8 +13,8 @@ The spec's :meth:`config_hash` is *the* identity used everywhere:
 
 * it equals :meth:`repro.harness.campaign.Campaign.config_hash` for the
   campaign the spec describes (the spec builds that exact campaign),
-  so it also equals the hash recorded in ``manifest.json`` and pinned
-  by the checkpoint journal header;
+  so it also equals the hash recorded in ``manifest.json`` and the
+  ``<hash12>`` prefix of every unit id a run commits;
 * the broker dedupes submissions on it -- submitting the same physics
   twice yields the same submission, not twice the beam time;
 * it names the submission (``sub-<hash12>``) and prefixes every
@@ -70,7 +70,7 @@ class CampaignSpec:
         (it moves every operating point and rate model), so it folds
         into the config hash -- but only when non-default: the 28 nm
         anchor ``"xgene2-28"`` hashes identically to an unset node, so
-        pre-existing submissions and journals keep their identities.
+        pre-existing submissions and checkpoints keep their identities.
     name:
         Display name for status output; defaults to the submission id.
     """
@@ -144,7 +144,7 @@ class CampaignSpec:
 
         Computed by building the campaign and asking *it*, so spec
         identity can never drift from the hash ``manifest.json`` and
-        the checkpoint journal record for the same physics.
+        a run's commit ids record for the same physics.
         """
         if self._config_hash is None:
             object.__setattr__(

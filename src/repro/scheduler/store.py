@@ -48,7 +48,7 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import StaleFencingToken
+from ..errors import ReproIOError, StaleFencingToken
 from ..io.atomic import atomic_write_text
 from ..telemetry import NULL_TELEMETRY
 from .fencing import FencingRegistry
@@ -281,10 +281,9 @@ class DirectoryStore:
         the medium corrupted it) is quarantined and also returns False
         -- the name is free again, so the unit can be re-committed.
 
-        Payload keys keep their insertion order (no ``sort_keys``),
-        matching the checkpoint journal: results assembled from
-        *adopted* commit payloads must re-encode to the same bytes a
-        plain run writes.
+        Payload keys keep their insertion order (no ``sort_keys``):
+        results assembled from *adopted* or resumed commit payloads
+        must re-encode to the same bytes an uninterrupted run writes.
 
         Raises :class:`~repro.errors.StaleFencingToken` when *epoch*
         has been superseded for this unit or owner.
@@ -371,6 +370,27 @@ class DirectoryStore:
             for name in os.listdir(self._commits)
             if name.endswith(".json")
         }
+
+    def check_config(self, config_hash: str) -> None:
+        """Refuse commits that another configuration's plan wrote.
+
+        Unit ids are ``<hash12>/<label>``, so a commit whose id starts
+        with another hash12 belongs to a different configuration, and
+        resuming beside it would mix two plans' results in one store.
+        Raises :class:`~repro.errors.ReproIOError` naming both hashes.
+        """
+        own = config_hash[:12]
+        foreign = sorted(
+            {unit_id.split("/", 1)[0] for unit_id in self.committed_units()}
+            - {own}
+        )
+        if foreign:
+            raise ReproIOError(
+                f"commits under {self.root!r} belong to a different "
+                f"configuration (hash {', '.join(foreign)}, not {own}); "
+                f"resume with that configuration, or pass --fresh to "
+                f"discard them"
+            )
 
     # -- quarantine --------------------------------------------------------------
 

@@ -99,10 +99,6 @@ class VoltageDomain:
             )
         self._voltage_mv = mv
 
-    def reset(self) -> None:
-        """Return the domain to its nominal voltage."""
-        self._voltage_mv = self.nominal_mv
-
     def __repr__(self) -> str:
         return (
             f"VoltageDomain({self.name.value!r}, {self._voltage_mv} mV "

@@ -11,7 +11,8 @@ of "this knob does not change the physics":
     inert).
 ``resume``
     An uninterrupted ``ResilientCampaign`` vs one crashed after two
-    journaled units and resumed -- byte-identical ``campaign.json``.
+    committed units and resumed from its store -- byte-identical
+    ``campaign.json``.
 ``broker``
     A plain serial campaign vs the same spec planned, submitted to a
     store-backed :class:`~repro.scheduler.Broker`, leased out in small
@@ -308,8 +309,8 @@ class DifferentialRunner:
     def _pair_tech_anchor(self) -> DiffReport:
         # The 28 nm anchor node must be invisible: a campaign pinned to
         # "xgene2-28" is the same physics as one with no node at all,
-        # down to the config hash (so journals, submission ids and
-        # checkpoints written before the node axis existed stay valid).
+        # down to the config hash (so submission ids and checkpoints
+        # written before the node axis existed stay valid).
         context = ExecutionContext(seed=self.seed, time_scale=self.time_scale)
         plain = Campaign(context=context)
         anchored = Campaign(context=context, tech_node="xgene2-28")
@@ -452,7 +453,6 @@ class DifferentialRunner:
                 ),
                 policy=policy,
                 chaos=chaos,
-                fsync="never",
             )
             report = runner.run(results, resume=resume)
             report.persist(results)

@@ -125,10 +125,18 @@ class TestResultsDirectoryCrashSafety:
             assert handle.read() == json.dumps(data)
 
     def test_journal_path_and_has_journal(self, tmp_path):
-        results = ResultsDirectory(str(tmp_path / "run"))
-        assert not results.has_journal()
-        path = results.journal_path(ensure_root=True)
-        with open(path, "w") as handle:
-            handle.write("{}\n")
-        assert results.has_journal()
+        # A run's checkpoints live in scheduler/; a pre-store
+        # journal.jsonl is refused until discard_run (--fresh) removes
+        # it, together with the store.
+        root = tmp_path / "run"
+        results = ResultsDirectory(str(root))
+        assert not results.has_checkpoints()
+        results.refuse_legacy_journal()  # nothing to refuse
+        os.makedirs(os.path.join(results.scheduler_dir(), "commits"))
+        (root / "journal.jsonl").write_text("{}\n")
+        assert results.has_checkpoints()
+        with pytest.raises(ReproIOError, match="journal.jsonl"):
+            results.refuse_legacy_journal()
+        results.discard_run(["session1"])
+        assert sorted(os.listdir(root)) == []
         assert os.path.basename(results.failures_path()) == "failures.json"

@@ -14,12 +14,8 @@ import pytest
 
 from repro.errors import ReproIOError
 from repro.io import ResultsDirectory
-from repro.resilient import (
-    CampaignJournal,
-    ChaosSpec,
-    SimulatedCrash,
-    SupervisionPolicy,
-)
+from repro.resilient import ChaosSpec, SimulatedCrash, SupervisionPolicy
+from repro.scheduler import DirectoryStore
 from repro.telemetry import Telemetry
 
 from .conftest import counters_without_noise, make_runner
@@ -34,7 +30,7 @@ def run_to_bytes(outdir, report, results):
 
 
 def crash_then_resume(tmp_path, k, workers=0):
-    """Crash after *k* journaled units, resume, return the resumed run."""
+    """Crash after *k* committed units, resume, return the resumed run."""
     outdir = str(tmp_path / f"crash{k}w{workers}")
     results = ResultsDirectory(outdir)
     chaos = ChaosSpec(crash_after_units=k)
@@ -45,7 +41,6 @@ def crash_then_resume(tmp_path, k, workers=0):
             chaos=chaos,
             workers=workers,
             policy=FAST_POLICY,
-            fsync="never",
         ).run(results)
 
     resumed_telemetry = Telemetry()
@@ -53,7 +48,6 @@ def crash_then_resume(tmp_path, k, workers=0):
         telemetry=resumed_telemetry,
         workers=workers,
         policy=FAST_POLICY,
-        fsync="never",
     ).run(results, resume=True)
     return outdir, results, report, resumed_telemetry
 
@@ -90,7 +84,7 @@ class TestCrashResumeParallel:
         assert report.resumed_units == 2
 
     def test_parallel_interrupt_serial_resume(self, tmp_path, reference_run):
-        # Crash under 4 workers, resume serially: the journal is the
+        # Crash under 4 workers, resume serially: the store is the
         # only state that matters, not the executor that wrote it.
         outdir = str(tmp_path / "cross")
         results = ResultsDirectory(outdir)
@@ -100,9 +94,8 @@ class TestCrashResumeParallel:
                 chaos=ChaosSpec(crash_after_units=2),
                 workers=4,
                 policy=FAST_POLICY,
-                fsync="never",
             ).run(results)
-        report = make_runner(telemetry=Telemetry(), fsync="never").run(
+        report = make_runner(telemetry=Telemetry()).run(
             results, resume=True
         )
         assert run_to_bytes(outdir, report, results) == (
@@ -125,8 +118,7 @@ class TestFaultSurvivalDeterminism:
         )
         telemetry = Telemetry()
         report = make_runner(
-            telemetry=telemetry, chaos=chaos, policy=FAST_POLICY,
-            fsync="never",
+            telemetry=telemetry, chaos=chaos, policy=FAST_POLICY
         ).run(results)
         assert report.ok
         assert run_to_bytes(outdir, report, results) == (
@@ -140,9 +132,7 @@ class TestFaultSurvivalDeterminism:
         outdir = str(tmp_path / "poison")
         results = ResultsDirectory(outdir)
         chaos = ChaosSpec(units={"session2": ("fatal",)})
-        report = make_runner(
-            chaos=chaos, policy=FAST_POLICY, fsync="never"
-        ).run(results)
+        report = make_runner(chaos=chaos, policy=FAST_POLICY).run(results)
         assert not report.ok
         assert [r.key for r in report.failed_units] == ["session2"]
         labels = set(report.campaign_dict["sessions"])
@@ -155,54 +145,45 @@ class TestResumeGuards:
         outdir = str(tmp_path / "mismatch")
         results = ResultsDirectory(outdir)
         with pytest.raises(SimulatedCrash):
-            make_runner(
-                chaos=ChaosSpec(crash_after_units=1), fsync="never"
-            ).run(results)
+            make_runner(chaos=ChaosSpec(crash_after_units=1)).run(results)
         from repro.engine import ExecutionContext
         from repro.resilient import ResilientCampaign
 
         other = ResilientCampaign(
-            context=ExecutionContext(seed=999, time_scale=0.002),
-            fsync="never",
+            context=ExecutionContext(seed=999, time_scale=0.002)
         )
-        with pytest.raises(ReproIOError, match="different campaign"):
+        with pytest.raises(ReproIOError, match="different configuration"):
             other.run(results, resume=True)
 
     def test_resume_after_torn_tail_salvages(self, tmp_path, reference_run):
+        # A commit torn between the crash and the resume (a power cut
+        # mid-write on a medium that lies about fsync) fails its
+        # checksum: the resume quarantines it and flies that unit again.
         outdir = str(tmp_path / "torn")
         results = ResultsDirectory(outdir)
         with pytest.raises(SimulatedCrash):
-            make_runner(
-                chaos=ChaosSpec(crash_after_units=2), fsync="never"
-            ).run(results)
-        # Tear the last journal line, as a mid-append power cut would.
-        journal = results.journal_path()
-        with open(journal) as handle:
-            lines = handle.readlines()
-        with open(journal, "w") as handle:
-            handle.writelines(lines[:-1])
-            handle.write(lines[-1][: len(lines[-1]) // 2])
-        telemetry = Telemetry()
-        report = make_runner(telemetry=telemetry, fsync="never").run(
-            results, resume=True
-        )
-        assert report.salvaged_lines == 1
+            make_runner(chaos=ChaosSpec(crash_after_units=2)).run(results)
+        commits = os.path.join(results.scheduler_dir(), "commits")
+        names = sorted(os.listdir(commits))
+        assert len(names) == 2
+        torn = os.path.join(commits, names[-1])
+        with open(torn, "rb") as handle:
+            raw = handle.read()
+        with open(torn, "wb") as handle:
+            handle.write(raw[: len(raw) // 2])
+        report = make_runner(telemetry=Telemetry()).run(results, resume=True)
         assert report.resumed_units == 1  # the torn unit reran
         assert run_to_bytes(outdir, report, results) == (
             reference_run["campaign_bytes"]
         )
-        counters = telemetry.metrics.counter_values()
-        assert counters["resilient.journal_salvaged"] == 1
-        # The resume truncated the torn fragment before appending, so
-        # the journal is parseable again -- a second interruption would
-        # still be resumable instead of hard-failing on a corrupt
-        # non-final line.
-        reloaded = CampaignJournal.load(journal)
-        assert reloaded.salvaged == 0
-        assert set(reloaded.entries) == {
-            "session1", "session2", "session3", "session4",
-        }
-        second = make_runner(fsync="never").run(results, resume=True)
+        store = DirectoryStore(results.scheduler_dir())
+        quarantined = store.quarantined_units()
+        assert [(q["unit_id"], q["reason"]) for q in quarantined] == [
+            (names[-1][: -len(".json")].replace("__", "/"), "decode-error")
+        ]
+        # The re-flown unit committed again, so a second resume
+        # recovers all four.
+        second = make_runner().run(results, resume=True)
         assert second.resumed_units == 4
         assert run_to_bytes(outdir, second, results) == (
             reference_run["campaign_bytes"]
@@ -211,8 +192,8 @@ class TestResumeGuards:
     def test_fully_complete_resume_flies_nothing(self, tmp_path, reference_run):
         outdir = str(tmp_path / "complete")
         results = ResultsDirectory(outdir)
-        make_runner(fsync="never").run(results)
-        report = make_runner(telemetry=Telemetry(), fsync="never").run(
+        make_runner().run(results)
+        report = make_runner(telemetry=Telemetry()).run(
             results, resume=True
         )
         assert report.resumed_units == 4

@@ -19,7 +19,7 @@ SRC_ROOT = os.path.dirname(repro.__file__)
 ALLOWED = {
     os.path.join("io", "atomic.py"): "the atomic writer itself",
     os.path.join("resilient", "journal.py"): (
-        "the append-only journals append rather than replace"
+        "the append-only event journal appends rather than replaces"
     ),
     os.path.join("scheduler", "store.py"): (
         "the raw write/link/replace primitives FaultyStore intercepts"

@@ -2,7 +2,7 @@
 
 The in-process tests stand in for a signal by raising
 :class:`~repro.errors.CampaignInterrupted`; these helpers send a real
-one, so what a killed process leaves on disk (journal lines, store
+one, so what a killed process leaves on disk (store commits and
 leases) is what the resume has to cope with.  Every wait is bounded.
 """
 

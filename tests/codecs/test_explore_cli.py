@@ -1,5 +1,6 @@
 """The ``repro-campaign explore`` verb: artifacts, resume, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -118,6 +119,35 @@ class TestGuards:
         outdir = str(tmp_path / "empty")
         assert main(["explore", outdir, "--resume"] + TINY) == 1
         assert "no committed cells" in capsys.readouterr().err
+
+    def test_resume_over_another_sweep_refused(self, tmp_path, capsys):
+        # A different --strikes is a different sweep: resuming it over
+        # this store would commit a second sweep beside the first.
+        def tree(root):
+            found = {}
+            for folder, _, names in os.walk(root):
+                for name in names:
+                    found[os.path.join(folder, name)] = read_bytes(folder, name)
+            return found
+
+        outdir = str(tmp_path / "one")
+        cell = ["--codecs", "secded", "--points", "980:950", "--workloads",
+                "CG", "--seed", "7"]
+        assert main(["explore", outdir, "--strikes", "200"] + cell) == 0
+        before = tree(outdir)
+        capsys.readouterr()
+        argv = ["explore", outdir, "--strikes", "300", "--resume"] + cell
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "different configuration" in err
+        spec = SweepSpec(
+            codecs=("secded",), points=((980, 950),), workloads=("CG",),
+            strikes=200, seed=7,
+        )
+        other = dataclasses.replace(spec, strikes=300)
+        assert spec.config_hash[:12] in err
+        assert other.config_hash[:12] in err
+        assert tree(outdir) == before
 
     def test_malformed_points_refused(self, tmp_path, capsys):
         assert main(["explore", str(tmp_path / "x"), "--points", "980-950"]) == 1

@@ -115,8 +115,11 @@ def test_run_bytes_match_the_pins(tmp_path, run):
 def test_full_length_campaign_matches_the_pin(tmp_path):
     found = digests(tmp_path / "out", FULL)
     assert found["campaign.json"] == FULL_CAMPAIGN
-    # The journal holds compact session records, not every run.
-    assert os.path.getsize(tmp_path / "out" / "journal.jsonl") <= 1_000_000
+    # The commits hold compact session records, not every run.
+    commits = tmp_path / "out" / "scheduler" / "commits"
+    names = os.listdir(commits)
+    assert len(names) == 4
+    assert sum(os.path.getsize(commits / name) for name in names) <= 1_000_000
 
 
 def test_telemetry_counters_match_the_pin(tmp_path):

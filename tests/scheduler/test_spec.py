@@ -107,7 +107,7 @@ class TestRetiredKnobs:
 
 class TestHashIdentity:
     def test_spec_hash_equals_campaign_hash(self):
-        # The spec's identity IS the campaign's manifest/journal hash;
+        # The spec's identity IS the campaign's manifest/commit-id hash;
         # if these ever drift, dedupe and resume pinning both lie.
         spec = CampaignSpec(seed=11, time_scale=0.02)
         campaign = Campaign(seed=11, time_scale=0.02)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.errors import ReproIOError
 from repro.scheduler import DirectoryStore
 
 from .conftest import FakeClock
@@ -53,6 +54,22 @@ class TestCommits:
         # The commit name is free again: the re-planned unit commits.
         assert store.try_commit("h/u1", {"n": 1}) is True
         assert store.read_commit("h/u1") == {"n": 1}
+
+    def test_check_config_passes_its_own_commits(self, store):
+        store.check_config("aaaabbbbcccc" + "d" * 52)  # empty store
+        store.try_commit("aaaabbbbcccc/u1", {})
+        store.check_config("aaaabbbbcccc" + "d" * 52)
+
+    def test_check_config_refuses_another_configs_commit(self, store):
+        # Unit ids are <hash12>/<label>: one commit under another hash12
+        # is enough, and the refusal names both hashes.
+        store.try_commit("aaaabbbbcccc/u1", {})
+        store.try_commit("111122223333/u2", {})
+        with pytest.raises(ReproIOError) as excinfo:
+            store.check_config("aaaabbbbcccc" + "d" * 52)
+        message = str(excinfo.value)
+        assert "different configuration" in message
+        assert "111122223333" in message and "aaaabbbbcccc" in message
 
     def test_two_stores_one_directory(self, tmp_path, clock):
         # The multi-process story in miniature: the second store sees

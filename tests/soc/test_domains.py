@@ -48,12 +48,6 @@ class TestSetVoltage:
         with pytest.raises(VoltageError):
             make_pmd_domain().set_voltage(300)
 
-    def test_reset_restores_nominal(self):
-        pmd = make_pmd_domain()
-        pmd.set_voltage(790)
-        pmd.reset()
-        assert pmd.voltage_mv == 980
-
     def test_paper_settings_reachable(self):
         pmd = make_pmd_domain()
         soc = make_soc_domain()

@@ -1,15 +1,20 @@
-"""On-disk formats of the per-run payload are refused, never half-read.
+"""Legacy on-disk formats are refused, never half-read.
 
-Before the compact session record, a journal line (journal schema 1)
-and a store commit carried ``campaign.json``'s session dict: a ``runs``
-list with one row per run and no record version.  ``render_session``
-of a record gives exactly that dict, so these tests build the old
-shapes from a fresh flight.  A resume over such a journal exits 1 and
-leaves it untouched; an assembly over such a payload raises
-:class:`~repro.errors.ReproIOError` naming the unit before anything is
-written, in ``campaign_dict_from_entries`` and in ``serve`` alike.
-The store's commit format stays 2: ``explore``'s cell commits carry no
-session, so they stay adoptable.
+``run`` once checkpointed into ``OUTDIR/journal.jsonl``; it now commits
+into ``OUTDIR/scheduler``, the store ``explore`` and ``serve`` use.  An
+OUTDIR still holding a journal is refused by ``run``, ``run --resume``
+and ``stats`` alike, with its bytes left as they were, and ``--fresh``
+removes it.
+
+Before the compact session record, a store commit carried
+``campaign.json``'s session dict: a ``runs`` list with one row per run
+and no record version.  ``render_session`` of a record gives exactly
+that dict, so these tests build the old shape from a fresh flight.  An
+assembly over such a payload raises :class:`~repro.errors.ReproIOError`
+naming the unit before anything is written, in
+``campaign_dict_from_entries`` and in ``serve`` alike.  The store's
+commit format stays 2: ``explore``'s cell commits carry no session, so
+they stay adoptable.
 """
 
 import json
@@ -22,10 +27,16 @@ from repro.cli import main
 from repro.errors import ReproIOError
 from repro.io.json_store import campaign_dict_from_entries, render_session
 from repro.scheduler import CampaignSpec
-from repro.scheduler.store import COMMIT_FORMAT, encode_commit
+from repro.scheduler.store import COMMIT_FORMAT, decode_commit, encode_commit
 from repro.service import results_dir, scheduler_dir
 
 SPEC_ARGS = ["--seed", "9", "--time-scale", "0.01"]
+
+#: The first line of a journal the pre-store ``run`` wrote.
+LEGACY_HEADER = {
+    "kind": "header", "schema": 1, "config_hash": "0" * 64, "seed": 9,
+    "time_scale": 0.01, "units": ["session1"],
+}
 
 
 def _per_run_payload(payload):
@@ -33,38 +44,63 @@ def _per_run_payload(payload):
     return dict(payload, session=render_session(payload["session"]))
 
 
-def _flown_journal(outdir):
+def _committed_payloads(outdir):
+    """The unit payloads a fresh ``run`` committed, in plan order."""
     assert main(["run", str(outdir), *SPEC_ARGS]) == 0
-    with open(os.path.join(outdir, "journal.jsonl")) as handle:
-        return [json.loads(line) for line in handle]
+    commits = os.path.join(outdir, "scheduler", "commits")
+    payloads = []
+    for name in sorted(os.listdir(commits)):
+        with open(os.path.join(commits, name), "rb") as handle:
+            payloads.append(decode_commit(handle.read())["payload"])
+    return payloads
 
 
-def test_resume_refuses_a_schema_1_journal(tmp_path, capsys):
+def _legacy_outdir(tmp_path, capsys):
+    """A run OUTDIR that also holds a pre-store journal; its bytes."""
     outdir = tmp_path / "run"
-    header, *units = _flown_journal(outdir)
+    assert main(["run", str(outdir), *SPEC_ARGS]) == 0
     path = os.path.join(outdir, "journal.jsonl")
-    lines = [dict(header, schema=1)]
-    lines += [_per_run_payload(unit) for unit in units[:2]]
     with open(path, "w") as handle:
-        handle.write("".join(json.dumps(line) + "\n" for line in lines))
+        handle.write(json.dumps(LEGACY_HEADER) + "\n")
     with open(path, "rb") as handle:
         before = handle.read()
     capsys.readouterr()
+    return str(outdir), path, before
 
-    assert main(["run", str(outdir), *SPEC_ARGS, "--resume"]) == 1
+
+def _refused(argv, path, before, capsys):
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "unsupported journal schema 1 (expected 2)" in err
+    assert "journal.jsonl, the checkpoint format from before" in err
     with open(path, "rb") as handle:
         assert handle.read() == before
 
 
+def test_resume_refuses_a_schema_1_journal(tmp_path, capsys):
+    outdir, path, before = _legacy_outdir(tmp_path, capsys)
+    _refused(["run", outdir, *SPEC_ARGS, "--resume"], path, before, capsys)
+
+
+def test_run_refuses_a_legacy_journal(tmp_path, capsys):
+    outdir, path, before = _legacy_outdir(tmp_path, capsys)
+    shutil.rmtree(os.path.join(outdir, "scheduler"))
+    _refused(["run", outdir, *SPEC_ARGS], path, before, capsys)
+
+
+def test_stats_refuses_a_legacy_journal(tmp_path, capsys):
+    outdir, path, before = _legacy_outdir(tmp_path, capsys)
+    _refused(["stats", outdir], path, before, capsys)
+
+
+def test_fresh_removes_a_legacy_journal(tmp_path, capsys):
+    outdir, path, _ = _legacy_outdir(tmp_path, capsys)
+    assert main(["run", outdir, *SPEC_ARGS, "--fresh"]) == 0
+    assert not os.path.exists(path)
+    assert main(["stats", outdir]) == 0
+
+
 def test_assembly_refuses_a_per_run_session_payload(tmp_path):
-    _, *units = _flown_journal(tmp_path / "run")
-    entries = [
-        {key: unit[key] for key in ("key", "attempts", "sram_bits",
-                                    "session", "metrics")}
-        for unit in units
-    ]
+    entries = _committed_payloads(tmp_path / "run")
     campaign_dict_from_entries(entries)  # the current record assembles
     entries[2] = _per_run_payload(entries[2])
     with pytest.raises(ReproIOError, match="unit 'session3'.*version None"):

@@ -130,17 +130,25 @@ class TestStatsHashMismatch:
             assert main(["stats", journaled_run]) == 1
             err = capsys.readouterr().err
             assert "different runs" in err
-            assert "journal" in err
+            # Both hashes are named: the manifest's and the commits'.
+            assert "000000000000" in err
+            commits = os.path.join(journaled_run, "scheduler", "commits")
+            assert os.listdir(commits)[0].split("__")[0] in err
         finally:
             with open(manifest_path, "w") as handle:
                 handle.write(original)
 
     def test_unjournaled_directory_skips_the_check(self, journaled_run, capsys):
-        # stats on a directory without a journal (e.g. synced without
-        # checkpoints) renders from the manifest alone.
+        # stats on a directory without scheduler state (e.g. synced
+        # without checkpoints) renders from the manifest alone.
         import shutil as _shutil
 
         copy = journaled_run + "-nojournal"
         _shutil.copytree(journaled_run, copy)
-        os.remove(os.path.join(copy, "journal.jsonl"))
+        _shutil.rmtree(os.path.join(copy, "scheduler"))
+        with open(os.path.join(copy, "manifest.json")) as handle:
+            data = json.load(handle)
+        data["config_hash"] = "0" * 64
+        with open(os.path.join(copy, "manifest.json"), "w") as handle:
+            json.dump(data, handle)
         assert main(["stats", copy]) == 0

@@ -1,6 +1,5 @@
 """The differential harness: paired configurations that must agree."""
 
-import dataclasses
 import os
 import tempfile
 
@@ -12,7 +11,6 @@ from repro.codecs import list_codecs
 from repro.engine import ParallelExecutor
 from repro.errors import ValidationError
 from repro.harness.campaign import Campaign
-from repro.resilient.journal import CampaignJournal
 from repro.scheduler import (
     Broker,
     DirectoryStore,
@@ -161,18 +159,18 @@ def _drift_second_flight(monkeypatch):
     return "$.sram_bits"
 
 
-def _drift_journal_readback(monkeypatch):
-    honest = CampaignJournal.load.__func__
+def _drift_store_readback(monkeypatch):
+    # Only a resume reads commits back: the resumed side recovers its
+    # first units through this read, the uninterrupted side never does.
+    honest = DirectoryStore.read_commit
 
-    def drifted(cls, path):
-        loaded = honest(cls, path)
-        entries = {
-            key: dataclasses.replace(entry, sram_bits=entry.sram_bits + 1)
-            for key, entry in loaded.entries.items()
-        }
-        return dataclasses.replace(loaded, entries=entries)
+    def drifted(self, unit_id):
+        payload = honest(self, unit_id)
+        if payload is not None:
+            payload = dict(payload, sram_bits=payload["sram_bits"] + 1)
+        return payload
 
-    monkeypatch.setattr(CampaignJournal, "load", classmethod(drifted))
+    monkeypatch.setattr(DirectoryStore, "read_commit", drifted)
     return "$.sram_bits"
 
 
@@ -203,7 +201,7 @@ class TestByteGatesCanFail:
             ("executor", _drift_parallel_map),
             ("telemetry", _drift_second_flight),
             ("tech_anchor", _drift_second_flight),
-            ("resume", _drift_journal_readback),
+            ("resume", _drift_store_readback),
             ("broker", _drift_commits_by("diff-broker")),
             ("lease_resume", _drift_commits_by("survivor")),
             ("store_chaos", _drift_commits_by("chaos-a", "chaos-b")),
